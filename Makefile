@@ -79,10 +79,12 @@ gobench:
 representative:
 	$(GO) test ./internal/paracrash/ -run 'TestRepresentative|TestClassKey|TestCrashDigest|FuzzStateDigest' -count=1 -v
 
-# O(delta) reconstruction gate: the incremental engine's differential suite
-# (every backend, both workload families) — verdict equivalence against the
-# legacy full-restore engine, state-level Serialize/Hash identity of delta
-# reconstruction, fault transparency and kill/resume chaos.
+# O(delta) reconstruction gate: the engine's differential suite (every
+# backend, both workload families) — per-state verdict equivalence against
+# a test-only from-scratch reference (restore every server, replay every
+# kept op; reference_test.go), state-level Serialize/Hash identity of delta
+# reconstruction, the missing-capability error, fault transparency and
+# kill/resume chaos.
 incremental:
 	$(GO) test ./internal/paracrash/ -run 'TestIncremental' -count=1 -v
 

@@ -11,7 +11,6 @@
 //	experiments -exp table3     # the aggregated bug list
 //	experiments -exp sensitivity # the Table 3 sensitivity studies
 //	experiments -exp speedups   # §6.4 headline numbers on ARVR/BeeGFS
-//	experiments -exp parallel   # worker-pool engine vs serial wall clock
 //	experiments -exp bench      # benchmark trajectory -> BENCH_*.json
 //	experiments -exp fuzz       # metamorphic fuzz campaign over the engine
 //	experiments -exp all        # every experiment above except fuzz
@@ -40,7 +39,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig5, fig8, fig9, fig10, fig11, table3, sensitivity, speedups, parallel, bench, fuzz, all")
+	exp := flag.String("exp", "all", "experiment: fig5, fig8, fig9, fig10, fig11, table3, sensitivity, speedups, bench, fuzz, all")
 	servers := flag.String("servers", "4,6,8,16,32", "server counts for fig11")
 	benchOut := flag.String("bench-out", "", "bench: write the BENCH_*.json summary to this file (default stdout)")
 	benchCells := flag.String("bench-cells", "all", "bench: cell subset to run: all, or fast (the quick benchgate set)")
@@ -59,8 +58,6 @@ func main() {
 	fuzzFaultRate := flag.Float64("fault-rate", 0, "fuzz: inject faults into the engine's own I/O with this probability in [0,1] (0 = off)")
 	representative := flag.Bool("representative", true, "group crash states into recovered-content equivalence classes and check one representative per class")
 	noRep := flag.Bool("no-representative", false, "check every crash state brute-force-equivalently (same as -representative=false)")
-	incremental := flag.Bool("incremental", true, "reconstruct crash states in O(delta) via cached prefix-root restores and delta replay")
-	noInc := flag.Bool("no-incremental", false, "rebuild every crash state with a full restore and replay (same as -incremental=false)")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "experiments: unexpected arguments: %s\n", strings.Join(flag.Args(), " "))
@@ -82,27 +79,20 @@ func main() {
 	if *fuzzFaultRate < 0 || *fuzzFaultRate > 1 {
 		fatal(fmt.Errorf("-fault-rate must be in [0,1], got %g", *fuzzFaultRate))
 	}
-	repSet, incSet := false, false
+	repSet := false
 	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "representative":
+		if f.Name == "representative" {
 			repSet = true
-		case "incremental":
-			incSet = true
 		}
 	})
 	if repSet && *representative && *noRep {
 		fatal(fmt.Errorf("-representative=true conflicts with -no-representative"))
-	}
-	if incSet && *incremental && *noInc {
-		fatal(fmt.Errorf("-incremental=true conflicts with -no-incremental"))
 	}
 	// opts carries the knobs into the option-taking experiments; the §6.4
 	// speedups contrast pins its own settings to measure the paper's
 	// strategies in isolation.
 	opts := core.DefaultOptions()
 	opts.DisableRepresentative = *noRep || !*representative
-	opts.DisableIncremental = *noInc || !*incremental
 
 	h5p := workloads.DefaultH5Params()
 	run := func(name string) {
@@ -144,16 +134,6 @@ func main() {
 					float64(res.BruteStates)/float64(res.PrunedStates),
 					float64(res.BruteRestores)/float64(maxInt(res.OptRestores, 1)))
 			}
-		case "parallel":
-			res, err := exps.ParallelSpeedup("beegfs", "ARVR", h5p)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-				os.Exit(1)
-			}
-			fmt.Println("parallel exploration (brute-force ARVR on BeeGFS):")
-			fmt.Printf("  serial   (workers=1):  %.4fs\n", res.SerialSeconds)
-			fmt.Printf("  parallel (workers=%d): %.4fs  (%.1fx speedup)\n", res.Workers, res.ParallelSeconds, res.Speedup)
-			fmt.Printf("  states checked: %d, bugs: %d, reports identical: %v\n", res.States, res.Bugs, res.Identical)
 		case "bench":
 			sinks, closers, err := parseSinks(sinkSpecs)
 			if err != nil {
@@ -236,7 +216,7 @@ func main() {
 	}
 
 	if *exp == "all" {
-		for _, name := range []string{"fig5", "fig8", "fig9", "fig10", "fig11", "table3", "sensitivity", "speedups", "parallel", "bench"} {
+		for _, name := range []string{"fig5", "fig8", "fig9", "fig10", "fig11", "table3", "sensitivity", "speedups", "bench"} {
 			fmt.Printf("################ %s ################\n", name)
 			run(name)
 		}

@@ -34,7 +34,6 @@ func main() {
 		pfsModel = flag.String("pfs-model", "causal", "PFS consistency model: strict, commit, causal, baseline")
 		libModel = flag.String("lib-model", "baseline", "I/O library consistency model")
 		k        = flag.Int("k", 1, "max victims per crash front (Algorithm 1's k)")
-		workers  = flag.Int("workers", 0, "parallel exploration workers (0 = one per CPU, 1 = serial)")
 		servers  = flag.Int("servers", 0, "override total server count (0 = paper default)")
 		stripe   = flag.Int64("stripe", 0, "override stripe size in bytes (0 = default)")
 		clients  = flag.Int("clients", 2, "MPI ranks for the parallel programs")
@@ -49,8 +48,6 @@ func main() {
 
 		representative = flag.Bool("representative", true, "group crash states into recovered-content equivalence classes and check one representative per class")
 		noRep          = flag.Bool("no-representative", false, "check every crash state brute-force-equivalently (same as -representative=false)")
-		incremental    = flag.Bool("incremental", true, "reconstruct crash states in O(delta) via cached prefix-root restores and delta replay")
-		noInc          = flag.Bool("no-incremental", false, "rebuild every crash state with a full restore and replay (same as -incremental=false)")
 
 		remote = flag.String("remote", "", "submit the run as a job to a paracrashd at this address (e.g. localhost:7077) instead of exploring locally")
 		apiKey = flag.String("api-key", "", "API key for a multi-tenant paracrashd (with -remote); also honours the PARACRASH_API_KEY environment variable")
@@ -77,9 +74,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *workers < 0 {
-		fatalIf(fmt.Errorf("-workers must be >= 0 (0 = one per CPU, 1 = serial), got %d", *workers))
-	}
 	if *k < 1 {
 		fatalIf(fmt.Errorf("-k must be >= 1 (victims per crash front), got %d", *k))
 	}
@@ -104,23 +98,16 @@ func main() {
 	if len(sinkSpecs) > 0 && *sinkInterval <= 0 {
 		fatalIf(fmt.Errorf("-sink-interval must be > 0 when sinks are attached, got %v", *sinkInterval))
 	}
-	repSet, incSet := false, false
+	repSet := false
 	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "representative":
+		if f.Name == "representative" {
 			repSet = true
-		case "incremental":
-			incSet = true
 		}
 	})
 	if repSet && *representative && *noRep {
 		fatalIf(fmt.Errorf("-representative=true conflicts with -no-representative"))
 	}
-	if incSet && *incremental && *noInc {
-		fatalIf(fmt.Errorf("-incremental=true conflicts with -no-incremental"))
-	}
 	repOn := *representative && !*noRep
-	incOn := *incremental && !*noInc
 
 	if *list {
 		fmt.Println("file systems:", strings.Join(exps.FSNames(), ", "))
@@ -154,19 +141,16 @@ func main() {
 			Kind: serve.JobKindExplore,
 			FS:   *fsName, Program: *progName, Mode: *mode,
 			PFSModel: *pfsModel, LibModel: *libModel,
-			K: *k, Workers: *workers, Shards: *shards,
+			K: *k, Shards: *shards,
 			Clients: *clients, Rows: *rows, Cols: *cols,
 			ResizeRows: *rrows, ResizeCols: *rcols,
 			Representative: &repOn,
-			Incremental:    &incOn,
 		}, *jsonOut, *verbose))
 	}
 
 	opts := core.DefaultOptions()
 	opts.Emulator.K = *k
-	opts.Workers = *workers
 	opts.DisableRepresentative = !repOn
-	opts.DisableIncremental = !incOn
 	switch *mode {
 	case "brute":
 		opts.Mode = core.ModeBrute

@@ -45,7 +45,6 @@ func TestCLIFlagValidation(t *testing.T) {
 		args    []string
 		wantMsg string
 	}{
-		{"negative workers", []string{"-workers", "-1"}, "-workers must be >= 0"},
 		{"zero k", []string{"-k", "0"}, "-k must be >= 1"},
 		{"negative servers", []string{"-servers", "-4"}, "-servers must be >= 0"},
 		{"negative stripe", []string{"-stripe", "-8"}, "-stripe must be >= 0"},

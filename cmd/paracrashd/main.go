@@ -64,7 +64,7 @@ func main() {
 		queueDepth   = flag.Int("queue-depth", 16, "queued jobs before submissions get 429")
 		jobTimeout   = flag.Duration("job-timeout", 10*time.Minute, "default per-job timeout (0 = none)")
 		maxTimeout   = flag.Duration("max-job-timeout", time.Hour, "cap on any job's timeout (0 = no cap)")
-		maxWorkers   = flag.Int("max-job-workers", 0, "cap on one job's exploration workers (0 = no cap)")
+		maxWorkers   = flag.Int("max-job-workers", 0, "cap on one fuzz job's concurrent campaign cells (0 = no cap)")
 		drainTimeout = flag.Duration("drain-timeout", time.Minute, "how long shutdown waits for in-flight jobs before cancelling them")
 		sinkInterval = flag.Duration("sink-interval", 10*time.Second, "telemetry sampling interval for -sink fan-out")
 

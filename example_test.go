@@ -1,9 +1,11 @@
 package paracrash_test
 
 import (
+	"context"
 	"fmt"
 
 	"paracrash"
+	core "paracrash/internal/paracrash"
 )
 
 // Example runs the paper's ARVR program against BeeGFS and prints the
@@ -46,34 +48,49 @@ func Example_crossLayer() {
 	// [hdf5] atomicity: scsi_write(h5:snod:/g1)@server#0 -> scsi_write(h5:heap:/g1)@server#1
 }
 
-// Example_parallelExploration shards crash-state checking across four
-// workers (Options.Workers). Verdicts are merged in the serial visiting
-// order, so the parallel report lists exactly the serial run's bugs.
+// Example_parallelExploration splits crash-state checking into four
+// shards — the unit a paracrashd fleet hands to its worker processes —
+// judges each on its own cluster with RunShard, and merges the verdicts
+// with MergeShards (both in the engine package). The merge replays the
+// serial visiting order, so the sharded report lists exactly the serial
+// run's bugs.
 func Example_parallelExploration() {
-	bugs := func(workers int) string {
-		rec := paracrash.NewRecorder()
-		fs, err := paracrash.NewFileSystem("beegfs", paracrash.DefaultConfig(), rec)
+	newFS := func() paracrash.FileSystem {
+		fs, err := paracrash.NewFileSystem("beegfs", paracrash.DefaultConfig(), paracrash.NewRecorder())
 		if err != nil {
 			panic(err)
 		}
-		opts := paracrash.DefaultOptions()
-		opts.Workers = workers
-		report, err := paracrash.Run(fs, nil, paracrash.ARVR(), opts)
-		if err != nil {
-			panic(err)
-		}
+		return fs
+	}
+	bugs := func(report *paracrash.Report) string {
 		s := fmt.Sprintf("%d inconsistent:", report.Inconsistent)
 		for _, b := range report.Bugs {
 			s += fmt.Sprintf(" [%s %s -> %s]", b.Kind, b.OpA, b.OpB)
 		}
 		return s
 	}
-	serial, parallel := bugs(1), bugs(4)
-	fmt.Println(serial)
-	fmt.Println("parallel run identical:", parallel == serial)
+	ctx, opts := context.Background(), paracrash.DefaultOptions()
+	serial, err := paracrash.Run(newFS(), nil, paracrash.ARVR(), opts)
+	if err != nil {
+		panic(err)
+	}
+	var shards []*core.ShardReport
+	for i := 0; i < 4; i++ {
+		sr, err := core.RunShard(ctx, newFS(), nil, paracrash.ARVR(), opts, core.ShardSpec{Index: i, Count: 4})
+		if err != nil {
+			panic(err)
+		}
+		shards = append(shards, sr)
+	}
+	merged, err := core.MergeShards(ctx, newFS(), nil, paracrash.ARVR(), opts, shards)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(bugs(serial))
+	fmt.Println("sharded run identical:", bugs(merged) == bugs(serial))
 	// Output:
 	// 2 inconsistent: [reordering append(chunk)@storage#1 -> rename(dentry)@meta#0] [reordering rename(dentry)@meta#0 -> unlink(chunk)@storage#0]
-	// parallel run identical: true
+	// sharded run identical: true
 }
 
 // Example_modelSelection tests the same program and file system against

@@ -18,27 +18,25 @@ type BenchRecord struct {
 	Program string `json:"program"`
 	FS      string `json:"fs"`
 	Mode    string `json:"mode"`
-	Workers int    `json:"workers"`
+	// Workers and Incremental are always 1 and true: the engine has one
+	// serial, O(delta) execution shape. They stay in the record because
+	// they are part of every cell's identity in the committed trajectory
+	// files that benchdiff compares against.
+	Workers int `json:"workers"`
 	// Representative records whether the cell ran with representative-state
 	// exploration (recovered-content equivalence classes); the trajectory
 	// keeps one brute-force contrast cell with it off so the
 	// StatesChecked/StatesDeduped drop is visible inside a single file.
-	Representative bool `json:"representative"`
-	// Incremental records whether the cell ran with O(delta) incremental
-	// reconstruction (prefix-root restore + delta replay); the trajectory
-	// keeps one contrast cell with it off so the ServerRestores/OpsReplayed
-	// collapse is visible inside a single file.
-	Incremental bool    `json:"incremental"`
-	Seconds     float64 `json:"seconds"`
+	Representative bool    `json:"representative"`
+	Incremental    bool    `json:"incremental"`
+	Seconds        float64 `json:"seconds"`
 	// StatesPerSec is the verdict throughput: states covered per second,
 	// counting both reconstructed representatives and class-attributed
 	// members (Stats.StatesChecked + Stats.StatesDeduped over Seconds).
 	StatesPerSec float64 `json:"states_per_sec"`
 	// RestoresPerState is the reconstruction amortisation: server restores
-	// charged per covered state. The legacy engine pays one restore per
-	// server per reconstructed state; the incremental engine pays one per
-	// *changed* server, so this is the bench field that proves the O(delta)
-	// win (strictly below the per-state restore count of the legacy cell).
+	// charged per covered state. The O(delta) engine pays one per *changed*
+	// server, so a rise here means reconstruction got lazier.
 	RestoresPerState float64         `json:"restores_per_state"`
 	Bugs             int             `json:"bugs"`
 	Stats            paracrash.Stats `json:"stats"`
@@ -90,9 +88,7 @@ type BenchSummary struct {
 type benchCell struct {
 	fs, prog string
 	mode     paracrash.Mode
-	workers  int
 	norep    bool
-	noinc    bool
 	// fast marks the cells of the quick `make benchgate` subset: the
 	// headline ARVR/BeeGFS cell plus one cheap contrast per axis, enough
 	// to catch a hot-path regression in seconds.
@@ -101,22 +97,19 @@ type benchCell struct {
 
 // benchCells is the fixed benchmark trajectory: the §6.4 strategy contrast
 // on ARVR/BeeGFS plus one representative cell per remaining file system.
-// The first cells differ only in the representative-exploration and
-// incremental-reconstruction knobs, so every BENCH_*.json carries its own
-// brute-force and full-restore baselines for the class-attribution and
-// O(delta) savings.
+// The first two cells differ only in the representative-exploration knob,
+// so every BENCH_*.json carries its own brute-force baseline for the
+// class-attribution savings.
 var benchCells = []benchCell{
-	{"beegfs", "ARVR", paracrash.ModeBrute, 1, true, true, false}, // exhaustive full-restore baseline
-	{"beegfs", "ARVR", paracrash.ModeBrute, 1, true, false, false},
-	{"beegfs", "ARVR", paracrash.ModeBrute, 1, false, false, true},
-	{"beegfs", "ARVR", paracrash.ModeBrute, 0, false, false, true}, // parallel, one worker per CPU
-	{"beegfs", "ARVR", paracrash.ModePruning, 1, false, false, false},
-	{"beegfs", "ARVR", paracrash.ModeOptimized, 1, false, false, false},
-	{"orangefs", "CR", paracrash.ModePruning, 1, false, false, false},
-	{"glusterfs", "WAL", paracrash.ModePruning, 1, false, false, false},
-	{"gpfs", "H5-create", paracrash.ModePruning, 1, false, false, false},
-	{"lustre", "H5-resize", paracrash.ModePruning, 1, false, false, false},
-	{"ext4", "CR", paracrash.ModePruning, 1, false, false, true},
+	{"beegfs", "ARVR", paracrash.ModeBrute, true, false}, // exhaustive baseline
+	{"beegfs", "ARVR", paracrash.ModeBrute, false, true},
+	{"beegfs", "ARVR", paracrash.ModePruning, false, false},
+	{"beegfs", "ARVR", paracrash.ModeOptimized, false, false},
+	{"orangefs", "CR", paracrash.ModePruning, false, false},
+	{"glusterfs", "WAL", paracrash.ModePruning, false, false},
+	{"gpfs", "H5-create", paracrash.ModePruning, false, false},
+	{"lustre", "H5-resize", paracrash.ModePruning, false, false},
+	{"ext4", "CR", paracrash.ModePruning, false, true},
 }
 
 // benchReps is how many times each cell runs; the fastest run's duration
@@ -166,9 +159,9 @@ func BenchCells(h5p workloads.H5Params, subset string, sinks ...obs.MetricSink) 
 		}
 		rec := BenchRecord{
 			Program: cell.prog, FS: cell.fs,
-			Mode: cell.mode.String(), Workers: cell.workers,
+			Mode: cell.mode.String(), Workers: 1,
 			Representative: !cell.norep,
-			Incremental:    !cell.noinc,
+			Incremental:    true,
 		}
 		var best *paracrash.Report
 		var bestObs *obs.Run
@@ -176,9 +169,7 @@ func BenchCells(h5p workloads.H5Params, subset string, sinks ...obs.MetricSink) 
 			run := obs.NewRun()
 			opts := paracrash.DefaultOptions()
 			opts.Mode = cell.mode
-			opts.Workers = cell.workers
 			opts.DisableRepresentative = cell.norep
-			opts.DisableIncremental = cell.noinc
 			opts.Obs = run
 			rep, err := RunOne(cell.fs, prog, opts, h5p, ConfigFor(cell.fs))
 			if err != nil {

@@ -166,6 +166,49 @@ func MergeOneShardsContext(ctx context.Context, fsName string, prog Program, opt
 	return paracrash.MergeShards(ctx, fs, lib, w, opts, shards)
 }
 
+// RunSharded judges a workload's crash-state space as a count-way shard
+// partition inside one process — each shard by paracrash.RunShard on a
+// detached clone of fs (pfs.Cloner), one after another — and merges the
+// shard reports on fs with paracrash.MergeShards. It is the fleet's
+// execution shape without the fleet, and its report is byte-identical
+// (ReportFingerprint) to RunContext's: the differential oracles compare
+// the two. The shards report to no obs run, so opts.Obs sees only the
+// merge and its counters reconcile with the report's Stats. With
+// opts.Checkpoint set, the merge journals there and shard i journals
+// beside it at "<path>.shard<i>", so a killed run resumes every part.
+func RunSharded(ctx context.Context, fs pfs.FileSystem, lib paracrash.Library, w paracrash.Workload, opts paracrash.Options, count int) (*paracrash.Report, error) {
+	cloner, ok := fs.(pfs.Cloner)
+	if !ok {
+		return nil, fmt.Errorf("exps: %s cannot be cloned for a sharded run", fs.Name())
+	}
+	reports := make([]*paracrash.ShardReport, count)
+	for i := range reports {
+		sopts := opts
+		sopts.Obs = nil
+		if opts.Checkpoint != nil {
+			sopts.Checkpoint = paracrash.OpenCheckpoint(fmt.Sprintf("%s.shard%d", opts.Checkpoint.Path(), i))
+			sopts.Checkpoint.Every = opts.Checkpoint.Every
+		}
+		sr, err := paracrash.RunShard(ctx, cloner.CloneDetached(), lib, w, sopts, paracrash.ShardSpec{Index: i, Count: count})
+		if err != nil {
+			return nil, err
+		}
+		reports[i] = sr
+	}
+	return paracrash.MergeShards(ctx, fs, lib, w, opts, reports)
+}
+
+// RunOneShardedContext is RunOneContext in the sharded execution shape:
+// RunSharded over the cell's stack.
+func RunOneShardedContext(ctx context.Context, fsName string, prog Program, opts paracrash.Options, h5p workloads.H5Params, conf pfs.Config, count int) (*paracrash.Report, error) {
+	fs, err := cellFS(fsName, prog, conf)
+	if err != nil {
+		return nil, err
+	}
+	w, lib := prog.Make(h5p)
+	return RunSharded(ctx, fs, lib, w, opts, count)
+}
+
 // cellFS builds one cell's file-system stack: the program's placement hints
 // overlaid on the backend config. Placement hints do not apply to GlusterFS
 // (its striped volume always places the first stripe on the first brick).
@@ -537,57 +580,6 @@ func ReportKernel(rep *paracrash.Report) string {
 		fmt.Fprintf(&b, "B %+v\n", *bug)
 	}
 	return b.String()
-}
-
-// ParallelResult compares serial against parallel exploration of one
-// (program, fs) cell.
-type ParallelResult struct {
-	Workers         int
-	SerialSeconds   float64
-	ParallelSeconds float64
-	Speedup         float64
-	// Identical reports whether the two runs produced byte-identical
-	// reports (modulo Duration) — the engine's determinism guarantee.
-	Identical bool
-	States    int
-	Bugs      int
-}
-
-// ParallelSpeedup measures the worker-pool engine against the serial
-// engine on a brute-force exploration (every crash state is checked, so
-// the work parallelises fully) and verifies the determinism guarantee.
-func ParallelSpeedup(fsName, progName string, h5p workloads.H5Params) (*ParallelResult, error) {
-	prog, err := ProgramByName(progName)
-	if err != nil {
-		return nil, err
-	}
-	run := func(workers int) (*paracrash.Report, error) {
-		opts := paracrash.DefaultOptions()
-		opts.Mode = paracrash.ModeBrute
-		opts.Workers = workers
-		return RunOne(fsName, prog, opts, h5p, ConfigFor(fsName))
-	}
-	serial, err := run(1)
-	if err != nil {
-		return nil, err
-	}
-	workers := runtime.NumCPU()
-	par, err := run(workers)
-	if err != nil {
-		return nil, err
-	}
-	res := &ParallelResult{
-		Workers:         workers,
-		SerialSeconds:   serial.Stats.Duration.Seconds(),
-		ParallelSeconds: par.Stats.Duration.Seconds(),
-		Identical:       ReportFingerprint(serial) == ReportFingerprint(par),
-		States:          par.Stats.StatesChecked,
-		Bugs:            len(par.Bugs),
-	}
-	if res.ParallelSeconds > 0 {
-		res.Speedup = res.SerialSeconds / res.ParallelSeconds
-	}
-	return res, nil
 }
 
 // Speedups measures the three strategies on one (program, fs) pair.

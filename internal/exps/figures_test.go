@@ -126,9 +126,11 @@ func TestFig11Shape(t *testing.T) {
 
 // brokenRecoveryFS wraps a file system with a Recover that fails once —
 // the unrecoverable-file-system path of the checking workflow (Figure 6's
-// "recoverable?" branch).
+// "recoverable?" branch). It forwards the backend's per-server snapshot
+// capability, which the engine requires.
 type brokenRecoveryFS struct {
 	pfs.FileSystem
+	pfs.IncrementalStater
 	failures int
 }
 
@@ -145,7 +147,7 @@ func TestUnrecoverableFileSystemIsReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := &brokenRecoveryFS{FileSystem: inner, failures: 1 << 30}
+	fs := &brokenRecoveryFS{FileSystem: inner, IncrementalStater: inner.(pfs.IncrementalStater), failures: 1 << 30}
 	rep, err := paracrash.Run(fs, nil, workloads.ARVR(), paracrash.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)

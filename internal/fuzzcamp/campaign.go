@@ -39,9 +39,6 @@ type Config struct {
 	CorpusDir string
 	// Workers is the number of concurrent cells (0 = GOMAXPROCS).
 	Workers int
-	// DiffWorkers is the worker count of the parallel run in the
-	// serial-vs-parallel differential oracle (0 = 4).
-	DiffWorkers int
 	// MinimizeTests bounds predicate evaluations per minimization
 	// (0 = 200).
 	MinimizeTests int
@@ -53,7 +50,7 @@ type Config struct {
 	Retry paracrash.RetryPolicy
 	// FaultRate > 0 arms the deterministic fault plane: every explorer
 	// invocation gets a fresh faultinject.Plan with this rate and FaultSeed,
-	// so each cell sees identical fault weather across its serial, parallel
+	// so each cell sees identical fault weather across its serial, sharded
 	// and pruned runs and the differential oracle stays sound. A cell whose
 	// faults never heal is retried once, then skipped and counted in
 	// Result.CellsFaulted — never fatal to the campaign.
@@ -86,9 +83,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.DiffWorkers <= 0 {
-		cfg.DiffWorkers = 4
 	}
 	if cfg.MinimizeTests <= 0 {
 		cfg.MinimizeTests = 200
@@ -219,14 +213,30 @@ type campaign struct {
 // explore runs one explorer invocation for the campaign: a fresh file
 // system, generated programs only (no I/O library), both models set to the
 // oracle's model so POSIX and library runs would judge alike.
-func (c *campaign) explore(backend string, w paracrash.Workload, mode paracrash.Mode, model paracrash.Model, workers int) (*paracrash.Report, error) {
-	return c.exploreRep(backend, w, mode, model, workers, !c.cfg.DisableRepresentative)
+func (c *campaign) explore(backend string, w paracrash.Workload, mode paracrash.Mode, model paracrash.Model) (*paracrash.Report, error) {
+	return c.run(backend, w, mode, model, !c.cfg.DisableRepresentative, 0)
 }
 
 // exploreRep is explore with an explicit representative-exploration switch;
 // the representative-equivalence oracle uses it for its brute-force
 // reference run.
-func (c *campaign) exploreRep(backend string, w paracrash.Workload, mode paracrash.Mode, model paracrash.Model, workers int, representative bool) (*paracrash.Report, error) {
+func (c *campaign) exploreRep(backend string, w paracrash.Workload, mode paracrash.Mode, model paracrash.Model, representative bool) (*paracrash.Report, error) {
+	return c.run(backend, w, mode, model, representative, 0)
+}
+
+// diffShards is the partition width of the differential oracle's sharded
+// run.
+const diffShards = 4
+
+// exploreSharded is explore in the fleet's execution shape: diffShards
+// shard runs over detached clones, merged (exps.RunSharded).
+func (c *campaign) exploreSharded(backend string, w paracrash.Workload, mode paracrash.Mode, model paracrash.Model) (*paracrash.Report, error) {
+	return c.run(backend, w, mode, model, !c.cfg.DisableRepresentative, diffShards)
+}
+
+// run performs one explorer invocation: standalone when shards is 0, else
+// as a shards-way partition merged by exps.RunSharded.
+func (c *campaign) run(backend string, w paracrash.Workload, mode paracrash.Mode, model paracrash.Model, representative bool, shards int) (*paracrash.Report, error) {
 	c.nruns.Add(1)
 	c.runs.Inc()
 	fs, err := exps.NewFS(backend, exps.ConfigFor(backend), trace.NewRecorder())
@@ -237,7 +247,6 @@ func (c *campaign) exploreRep(backend string, w paracrash.Workload, mode paracra
 	opts.Mode = mode
 	opts.PFSModel = model
 	opts.LibModel = model
-	opts.Workers = workers
 	opts.Obs = c.obs
 	opts.Retry = c.cfg.Retry
 	opts.DisableRepresentative = !representative
@@ -246,8 +255,11 @@ func (c *campaign) exploreRep(backend string, w paracrash.Workload, mode paracra
 		// A fresh plan per invocation: injection decisions are seed+point
 		// hashes, so every run of a cell faces identical fault weather with
 		// its own healing quota — the differential oracle's serial and
-		// parallel runs degrade identically.
+		// sharded runs degrade identically.
 		opts.Faults = faultinject.New(faultinject.Config{Seed: c.cfg.FaultSeed, Rate: c.cfg.FaultRate})
+	}
+	if shards > 0 {
+		return exps.RunSharded(c.ctx, fs, nil, w, opts, shards)
 	}
 	return paracrash.RunContext(c.ctx, fs, nil, w, opts)
 }

@@ -7,9 +7,9 @@
 //  1. model-lattice monotonicity: the consistency models order by legal-set
 //     inclusion, so the inconsistent crash states found under a weaker model
 //     must be a subset of those found under a stronger one;
-//  2. serial-vs-parallel differential: a Workers=1 and a Workers=N brute
-//     exploration must produce byte-identical reports (the parallel engine's
-//     determinism contract);
+//  2. serial-vs-sharded differential: a standalone brute exploration and
+//     the same exploration judged as a shard partition and merged must
+//     produce byte-identical reports (the fleet's determinism contract);
 //  3. pruning soundness: every bug cause reported by the pruning/optimized
 //     strategies must also be reported by brute force, and pruning must not
 //     go vacuously silent on a workload where brute force finds bugs.

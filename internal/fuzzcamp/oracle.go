@@ -17,9 +17,10 @@ const (
 	// the inconsistent-state key sets must shrink in the opposite direction
 	// (causal ⊆ strict, commit ⊆ causal, baseline ⊆ strict).
 	OracleLattice = "lattice"
-	// OracleDifferential checks the parallel engine's determinism contract:
-	// Workers=1 and Workers=N brute explorations must produce reports that
-	// are byte-identical modulo wall time.
+	// OracleDifferential checks the sharded execution shape's determinism
+	// contract: a standalone brute exploration and the same exploration
+	// judged as a shard partition over cluster clones and merged must
+	// produce reports that are byte-identical modulo wall time.
 	OracleDifferential = "differential"
 	// OraclePruning checks pruning soundness at the bug-cause level: pruned
 	// and optimized explorations must not report causes brute force does not
@@ -134,7 +135,7 @@ func firstDiffLine(a, b string) string {
 }
 
 // evalCell runs the full oracle battery for one workload × backend cell:
-// four serial brute runs (one per consistency model), one parallel brute
+// four serial brute runs (one per consistency model), one sharded brute
 // run, the two pruned-strategy runs and the brute-force-per-state
 // reference run of the representative oracle — eight explorer invocations.
 func (c *campaign) evalCell(backend string, prog *workloads.Program) ([]*pending, error) {
@@ -144,7 +145,7 @@ func (c *campaign) evalCell(backend string, prog *workloads.Program) ([]*pending
 	}
 	brute := map[paracrash.Model]*paracrash.Report{}
 	for _, m := range models {
-		rep, err := c.explore(backend, prog, paracrash.ModeBrute, m, 1)
+		rep, err := c.explore(backend, prog, paracrash.ModeBrute, m)
 		if err != nil {
 			return nil, fmt.Errorf("brute/%s: %w", m, err)
 		}
@@ -169,11 +170,11 @@ func (c *campaign) evalCell(backend string, prog *workloads.Program) ([]*pending
 			},
 			pred: func(body []workloads.Op) bool {
 				p := workloads.NewProgram(prog.Name(), prog.PreambleOps(), body)
-				sub, err := c.explore(backend, p, paracrash.ModeBrute, e.sub, 1)
+				sub, err := c.explore(backend, p, paracrash.ModeBrute, e.sub)
 				if err != nil {
 					return false
 				}
-				super, err := c.explore(backend, p, paracrash.ModeBrute, e.super, 1)
+				super, err := c.explore(backend, p, paracrash.ModeBrute, e.super)
 				if err != nil {
 					return false
 				}
@@ -182,28 +183,28 @@ func (c *campaign) evalCell(backend string, prog *workloads.Program) ([]*pending
 		})
 	}
 
-	// Oracle 2: serial-vs-parallel differential on the causal brute run.
+	// Oracle 2: serial-vs-sharded differential on the causal brute run.
 	serialFP := exps.ReportFingerprint(brute[paracrash.ModelCausal])
-	par, err := c.explore(backend, prog, paracrash.ModeBrute, paracrash.ModelCausal, c.cfg.DiffWorkers)
+	sharded, err := c.exploreSharded(backend, prog, paracrash.ModeBrute, paracrash.ModelCausal)
 	if err != nil {
-		return nil, fmt.Errorf("parallel brute/causal: %w", err)
+		return nil, fmt.Errorf("sharded brute/causal: %w", err)
 	}
-	if parFP := exps.ReportFingerprint(par); parFP != serialFP {
-		diff := firstDiffLine(serialFP, parFP)
+	if shardedFP := exps.ReportFingerprint(sharded); shardedFP != serialFP {
+		diff := firstDiffLine(serialFP, shardedFP)
 		out = append(out, &pending{
 			v: &Violation{
 				Oracle: OracleDifferential, Backend: backend, Workload: prog.Name(),
 				Signature: fmt.Sprintf("%s|%s|%s", OracleDifferential, backend, diff),
-				Detail: fmt.Sprintf("Workers=1 and Workers=%d brute reports diverge: %s",
-					c.cfg.DiffWorkers, diff),
+				Detail: fmt.Sprintf("standalone and %d-shard brute reports diverge: %s",
+					diffShards, diff),
 			},
 			pred: func(body []workloads.Op) bool {
 				p := workloads.NewProgram(prog.Name(), prog.PreambleOps(), body)
-				s, err := c.explore(backend, p, paracrash.ModeBrute, paracrash.ModelCausal, 1)
+				s, err := c.explore(backend, p, paracrash.ModeBrute, paracrash.ModelCausal)
 				if err != nil {
 					return false
 				}
-				n, err := c.explore(backend, p, paracrash.ModeBrute, paracrash.ModelCausal, c.cfg.DiffWorkers)
+				n, err := c.exploreSharded(backend, p, paracrash.ModeBrute, paracrash.ModelCausal)
 				if err != nil {
 					return false
 				}
@@ -216,17 +217,17 @@ func (c *campaign) evalCell(backend string, prog *workloads.Program) ([]*pending
 	bruteCauses := causeKeys(brute[paracrash.ModelCausal])
 	for _, mode := range []paracrash.Mode{paracrash.ModePruning, paracrash.ModeOptimized} {
 		mode := mode
-		rep, err := c.explore(backend, prog, mode, paracrash.ModelCausal, 1)
+		rep, err := c.explore(backend, prog, mode, paracrash.ModelCausal)
 		if err != nil {
 			return nil, fmt.Errorf("%s/causal: %w", mode, err)
 		}
 		pred := func(body []workloads.Op) bool {
 			p := workloads.NewProgram(prog.Name(), prog.PreambleOps(), body)
-			b, err := c.explore(backend, p, paracrash.ModeBrute, paracrash.ModelCausal, 1)
+			b, err := c.explore(backend, p, paracrash.ModeBrute, paracrash.ModelCausal)
 			if err != nil {
 				return false
 			}
-			pr, err := c.explore(backend, p, mode, paracrash.ModelCausal, 1)
+			pr, err := c.explore(backend, p, mode, paracrash.ModelCausal)
 			if err != nil {
 				return false
 			}
@@ -262,7 +263,7 @@ func (c *campaign) evalCell(backend string, prog *workloads.Program) ([]*pending
 	// reconstructed, and the two reports must agree on everything except
 	// effort stats.
 	if !c.cfg.DisableRepresentative {
-		full, err := c.exploreRep(backend, prog, paracrash.ModeBrute, paracrash.ModelCausal, 1, false)
+		full, err := c.exploreRep(backend, prog, paracrash.ModeBrute, paracrash.ModelCausal, false)
 		if err != nil {
 			return nil, fmt.Errorf("brute-force reference/causal: %w", err)
 		}
@@ -278,11 +279,11 @@ func (c *campaign) evalCell(backend string, prog *workloads.Program) ([]*pending
 				},
 				pred: func(body []workloads.Op) bool {
 					p := workloads.NewProgram(prog.Name(), prog.PreambleOps(), body)
-					r, err := c.exploreRep(backend, p, paracrash.ModeBrute, paracrash.ModelCausal, 1, true)
+					r, err := c.exploreRep(backend, p, paracrash.ModeBrute, paracrash.ModelCausal, true)
 					if err != nil {
 						return false
 					}
-					f, err := c.exploreRep(backend, p, paracrash.ModeBrute, paracrash.ModelCausal, 1, false)
+					f, err := c.exploreRep(backend, p, paracrash.ModeBrute, paracrash.ModelCausal, false)
 					if err != nil {
 						return false
 					}

@@ -12,7 +12,7 @@
 // The package is built around one invariant: observability is passive. A
 // Run only ever records what the exploration engine did; it never feeds
 // back into visiting order, pruning, caching, or any other decision, so
-// the byte-identical-report determinism contract of the parallel engine
+// the byte-identical-report determinism contract of the exploration engine
 // holds with metrics on or off.
 //
 // The second invariant is that the disabled path is free. A nil *Run is a
@@ -39,15 +39,13 @@ const (
 	// PhaseGraph covers causality analysis, layer-op extraction and the
 	// golden-state replays.
 	PhaseGraph = "graph-build"
-	// PhaseGenerate covers crash-state enumeration (Algorithm 1) when it
-	// runs as a separate collection pass (optimized/parallel engines). The
-	// streaming brute/pruning engine interleaves generation with checking
-	// and charges both to PhaseExplore.
+	// PhaseGenerate covers crash-state enumeration (Algorithm 1), the
+	// pass that plans a run's visit sequence.
 	PhaseGenerate = "generate"
 	// PhaseExplore covers crash-state reconstruction and checking.
 	PhaseExplore = "explore"
-	// PhaseMerge covers the deterministic serial-order merge of worker
-	// verdicts (parallel runs only; nested inside PhaseExplore).
+	// PhaseMerge covers a shard merge's serial-order walk over the shard
+	// verdicts (MergeShards; it replaces PhaseExplore there).
 	PhaseMerge = "merge"
 	// PhaseCampaign covers a fuzz campaign's oracle evaluation: every
 	// explorer run the campaign performs is nested inside it.

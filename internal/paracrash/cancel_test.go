@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"paracrash/internal/exps"
 	"paracrash/internal/paracrash"
 	"paracrash/internal/pfs"
 	"paracrash/internal/pfs/beegfs"
@@ -31,7 +32,6 @@ func TestRunContextAlreadyCancelled(t *testing.T) {
 
 func TestRunContextNilMatchesRun(t *testing.T) {
 	opts := paracrash.DefaultOptions()
-	opts.Workers = 1
 	want, err := paracrash.Run(newCancelFS(t), nil, workloads.ARVR(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -46,20 +46,20 @@ func TestRunContextNilMatchesRun(t *testing.T) {
 	}
 }
 
-// TestRunContextCancelParallelNoLeak cancels a parallel brute run mid-flight
-// and asserts the worker goroutines all exit.
+// TestRunContextCancelParallelNoLeak cancels a 4-shard brute run (shards
+// judged on cluster clones, then merged) mid-flight and asserts it returns
+// the context error with no goroutine left behind.
 func TestRunContextCancelParallelNoLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	opts := paracrash.DefaultOptions()
 	opts.Mode = paracrash.ModeBrute
-	opts.Workers = 4
 	opts.Emulator.K = 2 // widen the state space so cancellation lands mid-run
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := paracrash.RunContext(ctx, newCancelFS(t), nil, workloads.ARVR(), opts)
+		_, err := exps.RunSharded(ctx, newCancelFS(t), nil, workloads.ARVR(), opts, 4)
 		done <- err
 	}()
 	// Let the run start, then pull the plug.
@@ -77,7 +77,7 @@ func TestRunContextCancelParallelNoLeak(t *testing.T) {
 		t.Fatal("cancelled run did not return")
 	}
 
-	// Workers must drain; allow the runtime a moment to reap them.
+	// Everything the run started must drain; allow the runtime a moment.
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if runtime.NumGoroutine() <= before+2 {
@@ -95,7 +95,6 @@ func TestRunContextDeadline(t *testing.T) {
 	defer cancel()
 	opts := paracrash.DefaultOptions()
 	opts.Mode = paracrash.ModeBrute
-	opts.Workers = 1
 	opts.Emulator.K = 2
 	start := time.Now()
 	if _, err := paracrash.RunContext(ctx, newCancelFS(t), nil, workloads.ARVR(), opts); err != nil && !errors.Is(err, context.DeadlineExceeded) {

@@ -5,8 +5,8 @@
 //
 // The journal's first line is a header carrying the format version and a
 // fingerprint of every option that influences verdicts (workload, file
-// system, mode, models, emulator bounds — but not Workers, Retry, Faults or
-// Obs, which are verdict-transparent). On resume a mismatched header
+// system, mode, models, emulator bounds — but not Retry, Faults or Obs,
+// which are verdict-transparent). On resume a mismatched header
 // discards the journal with a warning instead of poisoning the run with
 // verdicts computed under different rules. A truncated tail record — the
 // expected artifact of dying mid-write — is likewise dropped with a
@@ -44,8 +44,11 @@ var (
 )
 
 // checkpointVersion is the journal format version; bump on any change to
-// ckptHeader or ckptRecord.
-const checkpointVersion = 1
+// ckptHeader, ckptRecord or the checkpointConfig fingerprint layout. The
+// version leads the fingerprint, so a bump also makes MergeShards refuse
+// shard reports written before it. Version 2 dropped the noinc field when
+// the legacy full-restore engine was removed.
+const checkpointVersion = 2
 
 // defaultCheckpointEvery is the record-batch size between automatic
 // flushes; the journal is also flushed on every run exit path.
@@ -292,23 +295,19 @@ func (c *Checkpoint) flushLocked() error {
 }
 
 // checkpointConfig fingerprints every option that influences crash-state
-// verdicts. Workers, Retry, Faults and Obs are deliberately excluded: they
-// change scheduling, effort and fault weather, never a verdict, so a
-// journal written under one of each is valid under any other.
+// verdicts. Retry, Faults and Obs are deliberately excluded: they change
+// effort and fault weather, never a verdict, so a journal written under one
+// of each is valid under any other.
 func checkpointConfig(workload, fsName string, opts Options) string {
 	// norep is part of the fingerprint although it never changes a verdict:
 	// representative runs journal one record per class (members are
 	// attributed, never journaled), so resuming a brute journal into a
 	// representative run — or vice versa — would change which states are
 	// charged as resumed and break the byte-identical-resume guarantee.
-	// noinc is fingerprinted for the same reason effort-only knobs like
-	// norep are: the two engines journal the same verdicts, but resuming a
-	// journal written by one engine into the other would change the charge
-	// replay (full-cost vs arithmetic delta) and break byte-identical resume.
-	return fmt.Sprintf("v%d|%s|%s|%s|pfs=%d|lib=%d|k=%d|fm=%d|mf=%d|ms=%d|mlo=%d|mls=%d|nosem=%t|notsp=%t|norep=%t|noinc=%t",
+	return fmt.Sprintf("v%d|%s|%s|%s|pfs=%d|lib=%d|k=%d|fm=%d|mf=%d|ms=%d|mlo=%d|mls=%d|nosem=%t|notsp=%t|norep=%t",
 		checkpointVersion, workload, fsName, opts.Mode,
 		opts.PFSModel, opts.LibModel,
 		opts.Emulator.K, opts.Emulator.FrontMode, opts.Emulator.MaxFronts, opts.Emulator.MaxStates,
 		opts.MaxLayerOps, opts.MaxLegalStates,
-		opts.DisableSemanticPruning, opts.DisableTSP, opts.DisableRepresentative, opts.DisableIncremental)
+		opts.DisableSemanticPruning, opts.DisableTSP, opts.DisableRepresentative)
 }

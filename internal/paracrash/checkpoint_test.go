@@ -1,6 +1,7 @@
 package paracrash
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -151,7 +152,7 @@ func TestCheckpointVersionAndHeaderDamage(t *testing.T) {
 		"version": `{"version":99,"config":"cfg"}` + "\n",
 		"garbage": "not json at all\n",
 		"empty":   "",
-		"dupkeys": `{"version":1,"config":"cfg"}` + "\n" + `{"key":"a"}` + "\n" + `{"key":"a"}` + "\n",
+		"dupkeys": fmt.Sprintf(`{"version":%d,"config":"cfg"}`, checkpointVersion) + "\n" + `{"key":"a"}` + "\n" + `{"key":"a"}` + "\n",
 	}
 	for name, content := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -225,9 +226,18 @@ func TestCheckpointConfigCoversVerdictKnobs(t *testing.T) {
 	}
 
 	transparent := DefaultOptions()
-	transparent.Workers = 7
 	transparent.Retry = RetryPolicy{MaxAttempts: 9}
 	if checkpointConfig("ARVR", "beegfs", transparent) != fp {
-		t.Error("fingerprint moves on verdict-transparent options (Workers/Retry)")
+		t.Error("fingerprint moves on a verdict-transparent option (Retry)")
+	}
+
+	// Version 2 dropped the removed legacy engine's noinc field; the version
+	// leads the fingerprint, so version-1 journals and shard reports are
+	// refused rather than resumed or merged.
+	if want := "v2|"; !strings.HasPrefix(fp, want) || checkpointVersion != 2 {
+		t.Errorf("fingerprint %q does not lead with %q", fp, want)
+	}
+	if strings.Contains(fp, "noinc") {
+		t.Errorf("fingerprint %q still carries the removed noinc field", fp)
 	}
 }

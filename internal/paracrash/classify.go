@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"paracrash/internal/causality"
 	"paracrash/internal/trace"
@@ -365,12 +364,7 @@ func (c *Classifier) classifyInFlight(cs CrashState, lo *LayerOps, state string)
 // and failing-state content (paper §5.2); the representative victim is the
 // causally latest one, which is the common element of every implied
 // persistence closure.
-//
-// BugSet is safe for concurrent use: during a parallel exploration the
-// merge goroutine Adds pairs while shard workers consult KnownBad for
-// speculative pruning.
 type BugSet struct {
-	mu    sync.RWMutex
 	bugs  map[string]*Bug
 	bestA map[string]int
 	// knownBad records op-identity pairs already attributed; the pruning
@@ -392,8 +386,6 @@ func NewBugSet() *BugSet {
 // Add records a classified pair for the given program/fs/layer and returns
 // the (possibly pre-existing) bug.
 func (s *BugSet) Add(pr PairResult, layer, fsName, program, consequence string) *Bug {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if pr.Kind == BugReordering {
 		s.knownBadReorder[[2]int{pr.A, pr.B}] = true
 	} else if pr.Kind == BugAtomicity {
@@ -435,8 +427,6 @@ func (s *BugSet) Add(pr PairResult, layer, fsName, program, consequence string) 
 // scenario: a known reordering pair with OA dropped and OB kept, or a known
 // atomic pair split across the persistence boundary.
 func (s *BugSet) KnownBad(cs CrashState) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	dropped := cs.Front.Clone()
 	dropped.Subtract(cs.Keep)
 	for pair := range s.knownBadReorder {
@@ -460,8 +450,6 @@ func (s *BugSet) KnownBad(cs CrashState) bool {
 // to map iteration and the report is not reproducible (both gaps found by the
 // fuzz campaign's serial-vs-parallel differential oracle).
 func (s *BugSet) Bugs() []*Bug {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	out := make([]*Bug, 0, len(s.bugs))
 	for _, b := range s.bugs {
 		out = append(out, b)

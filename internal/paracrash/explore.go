@@ -5,8 +5,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -60,8 +60,9 @@ const (
 	// ModePruning skips crash states matching already-identified bug
 	// scenarios and applies semantic (object-map) victim pruning.
 	ModePruning
-	// ModeOptimized adds incremental crash-state reconstruction with
-	// TSP-ordered visiting on top of pruning.
+	// ModeOptimized adds TSP-ordered visiting on top of pruning: crash
+	// states are visited along a greedy tour that keeps consecutive states'
+	// per-server reconstruction prefixes long (paper §5.4).
 	ModeOptimized
 )
 
@@ -131,17 +132,6 @@ type Options struct {
 	// MaxLegalStates caps legal-state enumeration per crash front.
 	MaxLegalStates int
 
-	// Workers is the number of parallel exploration workers. The generated
-	// crash-state list is sharded round-robin across the workers, each
-	// owning a detached clone of the cluster (see pfs.Cloner) with private
-	// clients and caches; their verdicts are merged on the calling
-	// goroutine in the exact serial visiting order, so the report is
-	// byte-identical to a Workers=1 run except for Stats.Duration.
-	// 0 (the zero value) means runtime.NumCPU(); 1 forces today's serial
-	// engine. File systems that do not implement pfs.Cloner always run
-	// serially regardless of this setting.
-	Workers int
-
 	// Ablation switches (the design choices measured by the Ablation
 	// benchmarks; both default to the paper's behaviour).
 	//
@@ -158,17 +148,6 @@ type Options struct {
 	// attributes its verdict to every member, so the report stays
 	// byte-identical while Stats.StatesChecked collapses to the class count.
 	DisableRepresentative bool
-	// DisableIncremental turns off O(delta) incremental reconstruction and
-	// falls back to the legacy engine: every checked state restores all
-	// servers from the initial snapshot and replays its full kept sequence.
-	// The default (off) moves between crash states by restoring cached
-	// per-server prefix roots (O(1) structurally-shared snapshots) and
-	// replaying only the delta ops, charging Stats.ServerRestores and
-	// Stats.OpsReplayed for exactly that smaller effort. Reports are
-	// byte-identical either way; only effort stats and wall time differ.
-	// File systems that do not implement pfs.IncrementalStater always use
-	// the legacy engine regardless of this setting.
-	DisableIncremental bool
 
 	// LegalMemo, when non-nil, shares legal-state sets across runs of the
 	// same workload on the same file system (see LegalMemo); the fuzz
@@ -188,9 +167,9 @@ type Options struct {
 	Retry RetryPolicy
 
 	// Faults, when non-nil, arms the deterministic fault plane: the plan is
-	// installed on the primary cluster, every worker clone and the emulator
-	// once tracing has finished (the traced execution itself never faults —
-	// the plane targets the checker's reconstruction machinery). Because
+	// installed on the cluster and the emulator once tracing has finished
+	// (the traced execution itself never faults — the plane targets the
+	// checker's reconstruction machinery). Because
 	// injection is schedule-independent and bounded (see internal/
 	// faultinject), a run whose faults all heal within Retry.MaxAttempts
 	// produces a report byte-identical to an unfaulted run.
@@ -249,17 +228,7 @@ func DefaultOptions() Options {
 		},
 		MaxLayerOps:    20,
 		MaxLegalStates: 50000,
-		Workers:        runtime.NumCPU(),
 	}
-}
-
-// effectiveWorkers resolves the Workers knob: the zero value means one
-// worker per CPU.
-func (o Options) effectiveWorkers() int {
-	if o.Workers <= 0 {
-		return runtime.NumCPU()
-	}
-	return o.Workers
 }
 
 // Stats records exploration effort, the quantities behind Figures 10/11.
@@ -376,15 +345,16 @@ type checkResult struct {
 	state string
 	// pfsLegalN/libLegalN record the sizes of the legal-state sets consulted
 	// by the verdict (0 when a set was not needed on the taken branch).
-	// They let the merge pass of a parallel run charge LegalPFSStates /
-	// LegalLibStates exactly as a serial verdict would have, without
+	// They let a resumed run or a shard merge charge LegalPFSStates /
+	// LegalLibStates exactly as a fresh verdict would have, without
 	// recomputing the sets.
 	pfsLegalN int
 	libLegalN int
 	// skipped marks a quarantined state: every attempt faulted, so there is
 	// no verdict. consequence then holds the quarantine reason. Skipped
-	// states are charged nothing (their attempts were rolled back) and are
-	// reported via Report.Skipped, never as inconsistencies.
+	// states charge only the arithmetic reconstruction delta of their visit
+	// (no legal-state sizes) and are reported via Report.Skipped, never as
+	// inconsistencies.
 	skipped bool
 }
 
@@ -416,10 +386,9 @@ type session struct {
 	goldenPFS string // strict golden tree (all ops), for consequences
 	goldenLib string
 
-	// outcomeFor, when non-nil (the merge pass of a parallel run), resolves
-	// a front|keep key to a verdict precomputed by a shard worker. check
-	// charges the stats the serial engine would have charged for computing
-	// it and skips the redundant reconstruction.
+	// outcomeFor, when non-nil (MergeShards), resolves a front|keep key to a
+	// verdict precomputed by a shard run. check charges the stats computing
+	// it would have charged and skips the redundant reconstruction.
 	outcomeFor func(key string) (checkResult, bool)
 
 	// Representative exploration (representative.go): classes maps a class
@@ -427,7 +396,7 @@ type session struct {
 	// verdict was attributed from a class representative, imageDigests
 	// memoises the shadow-pipeline recovered-content digest per kept set,
 	// and the two front-status maps memoise per-front status vectors for
-	// classKey. All are session-private (workers keep their own), no locking.
+	// classKey. All are session-private, no locking.
 	classes        map[string]checkResult
 	dedupKeys      map[string]bool
 	imageDigests   map[string]string
@@ -436,29 +405,23 @@ type session struct {
 	// memoScope namespaces this run inside opts.LegalMemo ("" = memo off).
 	memoScope string
 
-	// recon, when non-nil, is the O(delta) incremental reconstruction engine
-	// (see reconstruct.go): it tracks the live cluster's per-server state,
-	// caches prefix roots and carries the arithmetic effort accounting. nil
-	// means the legacy full-restore engine (Options.DisableIncremental, or a
-	// FileSystem without the pfs.IncrementalStater capability). Each session
-	// owns its reconstructor — shard workers build one over their clone.
+	// recon is the O(delta) reconstruction engine (see reconstruct.go): it
+	// tracks the live cluster's per-server state, caches prefix roots and
+	// carries the arithmetic effort accounting.
 	recon *reconstructor
 
 	// resumed holds verdicts replayed from a checkpoint journal, keyed like
-	// checkCache. Read-only during exploration (shared with shard workers).
+	// checkCache. Read-only during exploration.
 	resumed map[string]checkResult
-	// ckpt, on the primary session only, receives every freshly computed
-	// verdict for journaling.
+	// ckpt receives every freshly computed verdict for journaling (nil when
+	// the run has no checkpoint).
 	ckpt *Checkpoint
 
 	stats Stats
 
 	// Observability handles, pre-resolved so the per-state hot path pays
 	// one atomic add (or nothing at all when obs is off — nil handles are
-	// no-ops). The primary session's counters mirror the Stats fields
-	// exactly; shard workers bind the same code paths to worker/-prefixed
-	// counters so raw worker effort is visible without perturbing the
-	// Stats reconciliation.
+	// no-ops). The counters mirror the Stats fields exactly.
 	obs           *obs.Run
 	ctrChecked    *obs.Counter
 	ctrDeduped    *obs.Counter
@@ -474,26 +437,21 @@ type session struct {
 }
 
 // bindObs resolves the session's metric handles against r (nil for a no-op
-// collector). prefix distinguishes the primary session ("") — whose
-// counters reconcile 1:1 with Stats — from shard workers ("worker/").
-func (s *session) bindObs(r *obs.Run, prefix string) {
+// collector).
+func (s *session) bindObs(r *obs.Run) {
 	s.obs = r
-	s.ctrChecked = r.Counter(prefix + "states/checked")
-	s.ctrDeduped = r.Counter(prefix + "states/deduped")
-	s.ctrPruned = r.Counter(prefix + "states/pruned")
-	s.ctrBad = r.Counter(prefix + "states/inconsistent")
-	s.ctrRestores = r.Counter(prefix + "restores/servers")
-	s.ctrReplayed = r.Counter(prefix + "ops/replayed")
-	s.ctrFaults = r.Counter(prefix + "fault/injected")
-	s.ctrRetries = r.Counter(prefix + "fault/retries")
-	s.ctrSkipped = r.Counter(prefix + "states/skipped")
-	s.gaugeLegalPFS = r.Gauge(prefix + "legal/pfs")
-	s.gaugeLegalLib = r.Gauge(prefix + "legal/lib")
+	s.ctrChecked = r.Counter("states/checked")
+	s.ctrDeduped = r.Counter("states/deduped")
+	s.ctrPruned = r.Counter("states/pruned")
+	s.ctrBad = r.Counter("states/inconsistent")
+	s.ctrRestores = r.Counter("restores/servers")
+	s.ctrReplayed = r.Counter("ops/replayed")
+	s.ctrFaults = r.Counter("fault/injected")
+	s.ctrRetries = r.Counter("fault/retries")
+	s.ctrSkipped = r.Counter("states/skipped")
+	s.gaugeLegalPFS = r.Gauge("legal/pfs")
+	s.gaugeLegalLib = r.Gauge("legal/lib")
 }
-
-// incremental reports whether this session runs the O(delta) incremental
-// reconstruction engine.
-func (s *session) incremental() bool { return s.recon != nil }
 
 // chargeRestores charges n server restores to the stats and the counters.
 func (s *session) chargeRestores(n int) {
@@ -522,6 +480,13 @@ func Run(fs pfs.FileSystem, lib Library, w Workload, opts Options) (*Report, err
 func RunContext(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload, opts Options) (*Report, error) {
 	return runPipeline(ctx, fs, lib, w, opts, nil)
 }
+
+// ErrIncrementalUnsupported reports a file system the engine cannot
+// explore: crash states are rebuilt in O(delta) from per-server store
+// snapshots, so the file system must implement pfs.IncrementalStater and
+// its initial snapshot must hold a store for every server. Every
+// pfs.Cluster-based backend qualifies.
+var ErrIncrementalUnsupported = errors.New("paracrash: file system lacks per-server store snapshots")
 
 // prepare runs phases 0–2 of the pipeline — preamble, traced execution,
 // causality analysis, golden replay — and returns the exploration session.
@@ -604,14 +569,12 @@ func prepare(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload, op
 	if opts.LegalMemo != nil {
 		s.memoScope = legalMemoScope(fs, w.Name(), ops, opts)
 	}
-	if !opts.DisableIncremental {
-		if inc, ok := fs.(pfs.IncrementalStater); ok {
-			// O(delta) engine: newReconstructor returns nil when the initial
-			// snapshot lacks a store for some server, falling back to legacy.
-			s.recon = newReconstructor(s, inc)
-		}
+	recon, err := newReconstructor(s)
+	if err != nil {
+		return nil, err
 	}
-	s.bindObs(opts.Obs, "")
+	s.recon = recon
+	s.bindObs(opts.Obs)
 	s.stats.TraceOps = len(ops)
 	s.stats.LowermostOps = len(emu.Universe)
 	opts.Obs.Counter("trace/ops").Add(int64(len(ops)))
@@ -659,6 +622,15 @@ func prepare(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload, op
 		s.goldenLib, _ = s.replayLib(allLib)
 	}
 	stopGraph()
+
+	// Prime the cluster for exploration: the golden replay left re-executed
+	// content on the live stores — including on servers the traced run's
+	// lowermost ops never touched (replayed client ops may allocate fresh
+	// object IDs and place data differently). The reconstructor only ever
+	// touches servers with universe ops, so everything else must start (and
+	// then provably stays) at the initial content. One O(1)-per-server
+	// adoption, uncharged like the restores inside the golden replay.
+	fs.Restore(initial)
 	return s, nil
 }
 
@@ -695,14 +667,45 @@ func (o Options) emulatorConfig() EmulatorConfig {
 	return emuCfg
 }
 
-// runPipeline is the full exploration pipeline behind RunContext and
-// MergeShards. lookup, when non-nil, resolves crash-state keys to verdicts
-// precomputed elsewhere (shard workers of a fleet run); the pipeline then
-// replays the exact serial walk — same visiting order, pruning, class
-// attribution and charging — satisfying checks from the lookup and
-// computing only what it misses, so the report stays byte-identical to a
-// standalone run. A non-nil lookup forces the serial engine: the in-process
-// parallel workers would race the external verdicts for the same states.
+// generate enumerates the crash-state space once, in the deterministic
+// generation order that shard indices address (the plan step shared by
+// RunContext, RunShard and MergeShards). A cancelled context stops the
+// enumeration early.
+func (s *session) generate() []CrashState {
+	stopGen := s.opts.Obs.Phase(obs.PhaseGenerate)
+	defer stopGen()
+	var states []CrashState
+	s.stats.StatesGenerated = s.emu.Generate(s.opts.emulatorConfig(), func(cs CrashState) bool {
+		states = append(states, cs)
+		return s.ctx.Err() == nil
+	})
+	s.opts.Obs.Counter("states/generated").Add(int64(s.stats.StatesGenerated))
+	return states
+}
+
+// visitOrder plans the visiting order over states: the greedy TSP tour
+// over servers-changed distance in optimized mode (so consecutive states
+// share long per-server prefixes), generation order otherwise or under
+// DisableTSP.
+func (s *session) visitOrder(states []CrashState) []int {
+	if s.opts.Mode == ModeOptimized && !s.opts.DisableTSP {
+		procs, serverOps := s.emu.serverProcs()
+		return exploreOrder(len(states), len(procs), stateSigs(states, procs, serverOps))
+	}
+	order := make([]int, len(states))
+	for i := range order {
+		order[i] = i
+	}
+	return order
+}
+
+// runPipeline is the exploration pipeline behind RunContext and
+// MergeShards: plan (generate and order the crash states), then judge them
+// in one ordered walk. lookup, when non-nil, resolves crash-state keys to
+// verdicts judged elsewhere (the shard runs of a fleet job); the walk is
+// then the merge — same visiting order, pruning, class attribution and
+// charging — satisfying checks from the lookup and computing only what it
+// misses, so the report stays byte-identical to a standalone run.
 func runPipeline(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload, opts Options, lookup func(string) (checkResult, bool)) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -712,7 +715,7 @@ func runPipeline(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload
 	if err != nil {
 		return nil, err
 	}
-	g, emu, initial := s.g, s.emu, s.initial
+	g := s.g
 
 	// Checkpoint/resume: load previously journaled verdicts (if any) and
 	// keep journaling from here on. The journal is flushed on every exit
@@ -729,25 +732,12 @@ func runPipeline(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload
 	}
 	s.outcomeFor = lookup
 
-	// Prime the cluster for incremental exploration: the golden replay left
-	// re-executed content on the live stores — including on servers the
-	// traced run's lowermost ops never touched (replayed client ops may
-	// allocate fresh object IDs and place data differently). The legacy
-	// engine wipes that implicitly by restoring every server per state; the
-	// incremental engine only ever touches servers with universe ops, so
-	// everything else must start (and then provably stays) at the initial
-	// content. One O(1)-per-server adoption, uncharged like the restores
-	// inside the golden replay.
-	if s.incremental() {
-		fs.Restore(initial)
-	}
-
 	// Phase 3: crash emulation + checking.
-	emuCfg := opts.emulatorConfig()
+	states := s.generate()
 
 	report := &Report{Program: w.Name(), FS: fs.Name(), Mode: opts.Mode}
 	bugs := NewBugSet()
-	classifier := NewClassifier(emu, func(cs CrashState) (bool, string) {
+	classifier := NewClassifier(s.emu, func(cs CrashState) (bool, string) {
 		res := s.check(cs)
 		// A quarantined probe state carries no verdict; report it as
 		// consistent so classification degrades gracefully instead of
@@ -768,7 +758,7 @@ func runPipeline(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload
 
 	handle := func(cs CrashState) {
 		res := s.check(cs)
-		if s.dedupKeys[cs.Front.Key()+"|"+cs.Keep.Key()] {
+		if s.dedupKeys[stateKey(cs)] {
 			s.stats.StatesDeduped++
 			s.ctrDeduped.Inc()
 		} else {
@@ -814,65 +804,17 @@ func runPipeline(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload
 		}
 	}
 
-	workers := opts.effectiveWorkers()
-	cloner, _ := fs.(pfs.Cloner)
-	parallel := workers > 1 && cloner != nil && lookup == nil
-
-	if opts.Mode == ModeOptimized || parallel {
-		// Collect states first: the optimized mode orders them with a
-		// greedy TSP over per-server distance, the parallel engine shards
-		// them across workers.
-		stopGen := opts.Obs.Phase(obs.PhaseGenerate)
-		var states []CrashState
-		s.stats.StatesGenerated = emu.Generate(emuCfg, func(cs CrashState) bool {
-			states = append(states, cs)
-			return ctx.Err() == nil
-		})
-		stopGen()
-		stopExplore := opts.Obs.Phase(obs.PhaseExplore)
-		switch {
-		case parallel && len(states) > 1:
-			s.runParallel(states, cloner, workers, skip, handle, bugs)
-		case opts.Mode == ModeOptimized && lookup != nil && !s.incremental():
-			// External verdicts under the legacy optimized engine: replay the
-			// serial TSP walk with arithmetic charging, resolving verdicts
-			// through the lookup — the same merge pass the in-process parallel
-			// engine runs over its result board.
-			s.mergeOptimized(states, skip, handle)
-		case opts.Mode == ModeOptimized:
-			s.runOptimized(states, skip, handle)
-		default:
-			for _, cs := range states {
-				if ctx.Err() != nil {
-					break
-				}
-				if !skip(cs) {
-					handle(cs)
-				}
-			}
-		}
-		stopExplore()
-	} else {
-		// Streaming engine: generation and checking interleave, so the
-		// combined pass is charged to the explore phase (the emulate/*
-		// counters still break out enumeration volume).
-		stopExplore := opts.Obs.Phase(obs.PhaseExplore)
-		s.stats.StatesGenerated = emu.Generate(emuCfg, func(cs CrashState) bool {
-			if ctx.Err() != nil {
-				return false
-			}
-			if !skip(cs) {
-				handle(cs)
-			}
-			return true
-		})
-		stopExplore()
+	phase := obs.PhaseExplore
+	if lookup != nil {
+		phase = obs.PhaseMerge
 	}
-	opts.Obs.Counter("states/generated").Add(int64(s.stats.StatesGenerated))
+	stopWalk := opts.Obs.Phase(phase)
+	s.visitOrdered(states, skip, handle)
+	stopWalk()
 
 	// Restore the live cluster to the untouched post-run state (also on
 	// cancellation, so a reused file system is never left mid-crash-state).
-	fs.Restore(initial)
+	fs.Restore(s.initial)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("paracrash: run cancelled: %w", err)
 	}
@@ -918,26 +860,6 @@ func (s *session) client(proc string) (pfs.Client, error) {
 	return c, nil
 }
 
-// reconstruct restores the initial snapshot and applies the kept lowermost
-// ops in recording order. An injected replay fault aborts the attempt (the
-// retry loop rolls back its charges); genuine application errors mean the
-// op's effect is lost (its target was never persisted) — exactly the crash
-// semantics we emulate.
-func (s *session) reconstruct(cs CrashState) error {
-	s.fs.Restore(s.initial)
-	s.chargeRestores(len(s.fs.Procs()))
-	for _, i := range s.emu.Universe {
-		if !cs.Keep.Get(i) {
-			continue
-		}
-		if err := s.fs.ApplyLowermost(s.g.Ops[i]); err != nil && faultinject.Is(err) {
-			return err
-		}
-		s.chargeReplayed(1)
-	}
-	return nil
-}
-
 // check reconstructs the crash state, runs recovery and performs the
 // top-down layer checks. Results are cached per (front, keep). States that
 // violate commit durability cannot occur and count as consistent (the
@@ -947,7 +869,7 @@ func (s *session) check(cs CrashState) checkResult {
 	if !s.emu.PO.SyncFeasible(cs.Front, cs.Keep) {
 		return checkResult{consistent: true}
 	}
-	key := cs.Front.Key() + "|" + cs.Keep.Key()
+	key := stateKey(cs)
 	if r, ok := s.checkCache[key]; ok {
 		return r
 	}
@@ -977,8 +899,8 @@ func (s *session) check(cs CrashState) checkResult {
 	}
 	if s.outcomeFor != nil {
 		if r, ok := s.outcomeFor(key); ok {
-			// A shard worker already reconstructed and judged this state;
-			// charge exactly what reconstruct+verdict would have charged.
+			// A shard run already reconstructed and judged this state;
+			// charge exactly what judging it here would have charged.
 			s.chargeOutcome(cs, r)
 			s.checkCache[key] = r
 			s.recordClass(ckey, r)
@@ -986,13 +908,11 @@ func (s *session) check(cs CrashState) checkResult {
 			return r
 		}
 	}
-	if s.incremental() {
-		// Charge the arithmetic O(delta) cost of the visit up front: the
-		// charge is a pure function of the visit sequence, so faulted
-		// retries — and states that end up quarantined — report exactly the
-		// effort an unfaulted walk would.
-		s.recon.chargeState(cs)
-	}
+	// Charge the arithmetic O(delta) cost of the visit up front: the charge
+	// is a pure function of the visit sequence, so faulted retries — and
+	// states that end up quarantined — report exactly the effort an
+	// unfaulted walk would.
+	s.recon.chargeState(cs)
 	r := s.checkWithRetry(cs)
 	s.checkCache[key] = r
 	s.recordClass(ckey, r)
@@ -1000,34 +920,21 @@ func (s *session) check(cs CrashState) checkResult {
 	return r
 }
 
-// chargeOutcome charges the stats a serial reconstruction+verdict of cs
-// would have charged, given its already-computed result. Under the legacy
-// engine skipped states charge nothing (their failed attempts were rolled
-// back); the incremental engine advances its arithmetic walk for every
-// charged visit — including quarantined ones, whose reconstruction was
-// attempted — so resumed and parallel runs replay identical charge
-// sequences.
+// chargeOutcome charges the stats judging cs would have charged, given its
+// already-computed result: the arithmetic walk advances for every charged
+// visit — including quarantined ones, whose reconstruction was attempted —
+// so resumed and merged runs replay identical charge sequences.
 func (s *session) chargeOutcome(cs CrashState, r checkResult) {
-	if s.incremental() {
-		s.recon.chargeState(cs)
-		if r.skipped {
-			s.ctrSkipped.Inc()
-			return
-		}
-		s.chargeLegal(r)
-		return
-	}
+	s.recon.chargeState(cs)
 	if r.skipped {
 		s.ctrSkipped.Inc()
 		return
 	}
-	s.chargeRestores(len(s.fs.Procs()))
-	s.chargeReplayed(s.keptUniverse(cs))
 	s.chargeLegal(r)
 }
 
-// journal records a freshly computed verdict in the checkpoint (primary
-// session only; no-op otherwise). Journal write errors are counted, never
+// journal records a freshly computed verdict in the checkpoint (no-op
+// without one). Journal write errors are counted, never
 // fatal — losing checkpoint durability must not take the run down.
 func (s *session) journal(key string, r checkResult) {
 	if s.ckpt == nil {
@@ -1039,7 +946,7 @@ func (s *session) journal(key string, r checkResult) {
 }
 
 // checkWithRetry runs reconstruct+verdict attempts under the retry policy.
-// Each failed attempt is charge-neutral (attemptCheck rolls back), so a
+// Attempts charge nothing (check already paid the arithmetic delta), so a
 // state that eventually succeeds charges exactly what an unfaulted run
 // would have — the basis of the fault-transparency guarantee.
 func (s *session) checkWithRetry(cs CrashState) checkResult {
@@ -1066,39 +973,23 @@ func (s *session) checkWithRetry(cs CrashState) checkResult {
 	}
 }
 
-// attemptCheck performs one reconstruct+verdict attempt. Panics anywhere in
-// the backend are quarantined into errors, and a failed attempt rolls its
-// restore/replay charges back (stats and counters in lockstep), leaving the
-// accounting as if the attempt never ran.
+// attemptCheck performs one reconstruct+verdict attempt, quarantining
+// panics anywhere in the backend into errors. bring leaves faulted servers
+// marked dirty for the next attempt to re-restore, and the only cluster
+// mutation the verdict makes — recovery — marks the mutated servers dirty
+// too, so a failed attempt needs no rollback.
 func (s *session) attemptCheck(cs CrashState) (res checkResult, err error) {
-	if s.incremental() {
-		// Incremental attempts charge nothing (check already paid the
-		// arithmetic delta), so no rollback needs arranging: bring quarantines
-		// its own panics and leaves faulted servers marked dirty for the next
-		// attempt to re-restore, and scratchVerdict restores the applied
-		// state around the (possibly panicking) verdict.
-		if err := s.recon.bring(cs); err != nil {
-			return checkResult{}, err
-		}
-		return s.scratchVerdict(cs)
-	}
-	restores, replayed := s.stats.ServerRestores, s.stats.OpsReplayed
 	defer func() {
-		if p := recover(); p != nil {
+		if pv := recover(); pv != nil {
 			res = checkResult{}
-			if fe, ok := faultinject.FromPanic(p); ok {
+			if fe, ok := faultinject.FromPanic(pv); ok {
 				err = fe
 			} else {
-				err = fmt.Errorf("panic during check: %v", p)
+				err = fmt.Errorf("panic during verdict: %v", pv)
 			}
 		}
-		if err != nil {
-			s.ctrRestores.Add(int64(restores - s.stats.ServerRestores))
-			s.ctrReplayed.Add(int64(replayed - s.stats.OpsReplayed))
-			s.stats.ServerRestores, s.stats.OpsReplayed = restores, replayed
-		}
 	}()
-	if err = s.reconstruct(cs); err != nil {
+	if err := s.recon.bring(cs); err != nil {
 		return checkResult{}, err
 	}
 	return s.verdict(cs)
@@ -1137,18 +1028,6 @@ func (s *session) withRetry(fn func() error) error {
 	return lastErr
 }
 
-// keptUniverse counts the kept replayable ops of a crash state — the number
-// of ops reconstruct would replay.
-func (s *session) keptUniverse(cs CrashState) int {
-	n := 0
-	for _, i := range s.emu.Universe {
-		if cs.Keep.Get(i) {
-			n++
-		}
-	}
-	return n
-}
-
 // chargeLegal folds a verdict's recorded legal-set sizes into the stats
 // (idempotent: the maxima only grow).
 func (s *session) chargeLegal(r checkResult) {
@@ -1165,40 +1044,27 @@ func (s *session) chargeLegal(r checkResult) {
 // loop; genuine recovery/mount failures remain verdicts — they are what the
 // checker exists to find.
 func (s *session) verdict(cs CrashState) (checkResult, error) {
-	var tree *pfs.Tree
-	var treeStr string
-	if s.incremental() {
-		// Recovery is a pure function of the kept set, so states sharing a
-		// Keep (and the digest shadow pipeline that already classified this
-		// one) share one memoised fsck+mount outcome.
-		o, err := s.recon.recoveredOutcome(cs)
-		if err != nil {
-			return checkResult{}, err
-		}
-		if o.recoverErr != "" {
-			return checkResult{layer: "pfs", consequence: "unrecoverable file system: " + o.recoverErr, state: "UNRECOVERABLE"}, nil
-		}
-		if o.mountErr != "" {
-			return checkResult{layer: "pfs", consequence: "mount failed after fsck: " + o.mountErr, state: "UNMOUNTABLE"}, nil
-		}
-		tree, treeStr = o.tree, o.treeStr
-	} else {
-		if err := s.fs.Recover(); err != nil {
-			if faultinject.Is(err) {
-				return checkResult{}, err
-			}
-			return checkResult{layer: "pfs", consequence: fmt.Sprintf("unrecoverable file system: %v", err), state: "UNRECOVERABLE"}, nil
-		}
-		var err error
-		tree, err = s.fs.Mount()
-		if err != nil {
-			if faultinject.Is(err) {
-				return checkResult{}, err
-			}
-			return checkResult{layer: "pfs", consequence: fmt.Sprintf("mount failed after fsck: %v", err), state: "UNMOUNTABLE"}, nil
-		}
-		treeStr = tree.Serialize()
+	// Recovery is a pure function of the kept set, so states sharing a Keep
+	// (and the digest shadow pipeline that already classified this one)
+	// share one memoised fsck+mount outcome.
+	o, err := s.recon.recoveredOutcome(cs)
+	if err != nil {
+		return checkResult{}, err
 	}
+	return s.judge(cs, o)
+}
+
+// judge checks a recovered outcome against the legal states for the crash
+// front: top-down, library first, attributing a library inconsistency to
+// the PFS when the PFS state is illegal too.
+func (s *session) judge(cs CrashState, o *recoveredOutcome) (checkResult, error) {
+	if o.recoverErr != "" {
+		return checkResult{layer: "pfs", consequence: "unrecoverable file system: " + o.recoverErr, state: "UNRECOVERABLE"}, nil
+	}
+	if o.mountErr != "" {
+		return checkResult{layer: "pfs", consequence: "mount failed after fsck: " + o.mountErr, state: "UNMOUNTABLE"}, nil
+	}
+	tree, treeStr := o.tree, o.treeStr
 
 	pfsStatus := s.pfsOps.StatusAgainst(cs.Front)
 
@@ -1361,11 +1227,9 @@ func (s *session) replayPFS(sel []int) (string, error) {
 	rec := s.fs.Recorder()
 	rec.SetEnabled(false)
 	s.fs.Restore(s.initial)
-	if s.recon != nil {
-		// The replay mutates the whole cluster; the incremental walk's
-		// physical tracking must not trust any server afterwards.
-		s.recon.markAllDirty()
-	}
+	// The replay mutates the whole cluster; the walk's physical tracking
+	// must not trust any server afterwards.
+	s.recon.markAllDirty()
 	for _, pos := range sel {
 		op := s.pfsOps.Ops[pos]
 		c, err := s.client(op.Proc)
@@ -1414,222 +1278,18 @@ func intsKey(sel []int) string {
 	return b.String()
 }
 
-// runOptimized visits states in TSP order with incremental reconstruction:
-// only servers whose kept-op subsequence changed are restored and
-// re-applied; recovery and checking run on a scratch snapshot.
-//
-// Fault tolerance splits the walk in two: the arithmetic walk (cur) charges
-// exactly what an unfaulted incremental visit would pay, per visited state,
-// while the physical walk (phys) tracks what is actually on the cluster. A
-// faulted attempt re-restores the touched servers without extra charges, so
-// a run whose faults heal — and a resumed run replaying journaled verdicts —
-// reports stats byte-identical to an uninterrupted unfaulted run.
-func (s *session) runOptimized(states []CrashState, skip func(CrashState) bool, handle func(CrashState)) {
-	if s.incremental() {
-		s.visitOrdered(states, skip, handle)
-		return
-	}
-	if len(states) == 0 {
-		return
-	}
-	procs, serverOps := s.emu.serverProcs()
-	sigs := stateSigs(states, procs, serverOps)
-	order := exploreOrder(len(states), len(procs), sigs, s.opts.DisableTSP)
-
-	cur := make([]string, len(procs))
-	phys := make([]string, len(procs))
-	for i := range cur {
-		cur[i] = "\x00unset"
-		phys[i] = "\x00unset"
-	}
-
-	for _, idx := range order {
-		if s.ctx.Err() != nil {
-			return
-		}
-		cs := states[idx]
-		if skip(cs) {
-			continue
-		}
-		key := cs.Front.Key() + "|" + cs.Keep.Key()
-		ckey := ""
-		if s.representative() {
-			ckey = s.classKey(cs)
-		}
-		if ckey != "" {
-			if _, ok := s.checkCache[key]; !ok {
-				if r, hit := s.classes[ckey]; hit {
-					// Class member: attribute the representative's verdict.
-					// Neither the arithmetic walk nor the physical cluster
-					// advances — the incremental tour simply steps over the
-					// state, which is exactly the effort the report shows.
-					s.attributeClass(key, r)
-					applied := s.fs.Snapshot()
-					handle(cs)
-					s.fs.Restore(applied)
-					continue
-				}
-			}
-		}
-		// Arithmetic charging: the incremental restore/replay cost this
-		// state adds to the walk, independent of faults and resume.
-		for pi, p := range procs {
-			if cur[pi] == sigs[idx][pi] {
-				continue
-			}
-			s.chargeRestores(1)
-			for _, n := range serverOps[p] {
-				if cs.Keep.Get(n) {
-					s.chargeReplayed(1)
-				}
-			}
-			cur[pi] = sigs[idx][pi]
-		}
-		if _, ok := s.checkCache[key]; !ok {
-			if r, ok := s.resumed[key]; ok {
-				// Journaled verdict: seed the cache before handle's check so
-				// the serial resumed path (which charges full reconstruction)
-				// is bypassed — the arithmetic walk above already paid.
-				if r.skipped {
-					s.ctrSkipped.Inc()
-				} else {
-					s.chargeLegal(r)
-				}
-				s.checkCache[key] = r
-				s.recordClass(ckey, r)
-			} else {
-				r := s.optimizedCheck(cs, sigs[idx], procs, serverOps, phys)
-				s.checkCache[key] = r
-				s.recordClass(ckey, r)
-				s.journal(key, r)
-			}
-		}
-		// handle's classifier probes may reconstruct other states on the
-		// live cluster; restore the applied state afterwards so the physical
-		// walk tracking stays truthful.
-		applied := s.fs.Snapshot()
-		handle(cs)
-		s.fs.Restore(applied)
-	}
-}
-
-// optimizedCheck brings the physical cluster to the state's per-server
-// signature and judges it, retrying faulted attempts under the policy. No
-// stats are charged here — the arithmetic walk in runOptimized carries the
-// accounting — so retries are invisible in the report.
-func (s *session) optimizedCheck(cs CrashState, sig []string, procs []string, serverOps map[string][]int, phys []string) checkResult {
-	att := s.opts.Retry.attempts()
-	var lastErr error
-	for a := 0; a < att; a++ {
-		if a > 0 {
-			s.ctrRetries.Inc()
-			time.Sleep(s.opts.Retry.backoffAt(a))
-		}
-		r, err := s.optimizedAttempt(cs, sig, procs, serverOps, phys)
-		if err == nil {
-			return r
-		}
-		if faultinject.Is(err) {
-			s.ctrFaults.Inc()
-		}
-		lastErr = err
-	}
-	s.ctrSkipped.Inc()
-	return checkResult{
-		skipped:     true,
-		consequence: fmt.Sprintf("quarantined after %d attempts: %v", att, lastErr),
-	}
-}
-
-// optimizedAttempt is one physical sync + scratch verdict. A server whose
-// apply faults mid-way is marked dirty so the next attempt (or the next
-// state) restores it from the snapshot instead of trusting partial state.
-func (s *session) optimizedAttempt(cs CrashState, sig []string, procs []string, serverOps map[string][]int, phys []string) (checkResult, error) {
-	for pi, p := range procs {
-		if phys[pi] == sig[pi] {
-			continue
-		}
-		phys[pi] = "\x00dirty"
-		if err := s.syncServer(cs, p, serverOps[p]); err != nil {
-			return checkResult{}, err
-		}
-		phys[pi] = sig[pi]
-	}
-	return s.scratchVerdict(cs)
-}
-
-// syncServer restores one server to the initial snapshot and applies the
-// crash state's kept ops on it, quarantining panics into errors.
-func (s *session) syncServer(cs CrashState, p string, ops []int) (err error) {
-	defer func() {
-		if pv := recover(); pv != nil {
-			if fe, ok := faultinject.FromPanic(pv); ok {
-				err = fe
-			} else {
-				err = fmt.Errorf("panic applying ops on %s: %v", p, pv)
-			}
-		}
-	}()
-	s.fs.RestoreServer(s.initial, p)
-	for _, n := range ops {
-		if !cs.Keep.Get(n) {
-			continue
-		}
-		if aerr := s.fs.ApplyLowermost(s.g.Ops[n]); aerr != nil && faultinject.Is(aerr) {
-			return aerr
-		}
-	}
-	return nil
-}
-
-// scratchVerdict judges the applied state without losing the walk's
-// physical tracking — including when the verdict panics. The incremental
-// engine needs no snapshot here: the only cluster mutation the verdict can
-// make is recovery, and recoveredOutcome marks the mutated servers dirty so
-// the next bring restores them from prefix roots. The legacy optimized
-// engine snapshots and restores the applied state around the verdict.
-func (s *session) scratchVerdict(cs CrashState) (res checkResult, err error) {
-	var applied *pfs.State
-	if !s.incremental() {
-		applied = s.fs.Snapshot()
-	}
-	defer func() {
-		if pv := recover(); pv != nil {
-			res = checkResult{}
-			if fe, ok := faultinject.FromPanic(pv); ok {
-				err = fe
-			} else {
-				err = fmt.Errorf("panic during verdict: %v", pv)
-			}
-		}
-		if applied != nil {
-			s.fs.Restore(applied)
-		}
-	}()
-	return s.verdict(cs)
-}
-
-// visitOrdered is the incremental engine's ordered walk, shared by the
-// serial optimized mode and the optimized parallel merge: states are visited
-// along the greedy TSP tour (recording order under DisableTSP) and every one
-// goes through the uniform check path. No per-loop accounting or snapshot
-// juggling remains here — the reconstructor carries both the physical delta
-// reconstruction and the arithmetic charging, and classifier probes inside
-// handle reconstruct through the same path, keeping the physical tracking
-// truthful without save/restore wrappers.
+// visitOrdered is the judge step: states are visited in the planned order
+// (visitOrder) and every one goes through the uniform check path. The
+// reconstructor carries both the physical delta reconstruction and the
+// arithmetic charging, and classifier probes inside handle reconstruct
+// through the same path, keeping the physical tracking truthful without
+// save/restore wrappers.
 func (s *session) visitOrdered(states []CrashState, skip func(CrashState) bool, handle func(CrashState)) {
-	if len(states) == 0 {
-		return
-	}
-	procs, serverOps := s.emu.serverProcs()
-	sigs := stateSigs(states, procs, serverOps)
-	order := exploreOrder(len(states), len(procs), sigs, s.opts.DisableTSP)
-	for _, idx := range order {
+	for _, idx := range s.visitOrder(states) {
 		if s.ctx.Err() != nil {
 			return
 		}
-		cs := states[idx]
-		if !skip(cs) {
+		if cs := states[idx]; !skip(cs) {
 			handle(cs)
 		}
 	}

@@ -14,15 +14,20 @@ import (
 	"paracrash/internal/workloads"
 )
 
-// runWithOpts runs one beegfs/ARVR cell through exps and fingerprints the
+// runWithOpts runs the standalone beegfs/ARVR cell and fingerprints the
 // report, so faulted and checkpointed runs compare against the plain ones.
 func runWithOpts(t *testing.T, ctx context.Context, opts paracrash.Options) (string, error) {
+	return runWorkersWithOpts(t, ctx, opts, 1)
+}
+
+// runWorkersWithOpts is runWithOpts for a workers-way shard partition
+// (standalone when workers is 1; see runCell).
+func runWorkersWithOpts(t *testing.T, ctx context.Context, opts paracrash.Options, workers int) (string, error) {
 	t.Helper()
-	prog, err := exps.ProgramByName("ARVR")
-	if err != nil {
-		t.Fatal(err)
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	rep, err := exps.RunOneContext(ctx, "beegfs", prog, opts, workloads.DefaultH5Params(), exps.ConfigFor("beegfs"))
+	rep, err := runCell(ctx, "beegfs", "ARVR", opts, workers)
 	if err != nil {
 		return "", err
 	}
@@ -31,9 +36,10 @@ func runWithOpts(t *testing.T, ctx context.Context, opts paracrash.Options) (str
 
 // TestFaultTransparency is the harness's headline property: with bounded
 // per-point fault quotas (the default MaxPerPoint=1) and the default retry
-// policy, injected faults are fully transparent — every mode and worker
-// count reproduces the unfaulted report byte-for-byte, serial or parallel,
-// because fault decisions are schedule-independent and retries heal them.
+// policy, injected faults are fully transparent — every mode reproduces the
+// unfaulted report byte-for-byte, standalone or as a 4-shard partition
+// merged, because fault decisions are schedule-independent and retries
+// heal them.
 func TestFaultTransparency(t *testing.T) {
 	type cell struct {
 		mode    paracrash.Mode
@@ -51,8 +57,7 @@ func TestFaultTransparency(t *testing.T) {
 		t.Run(c.mode.String()+"/workers="+itoa(c.workers), func(t *testing.T) {
 			base := paracrash.DefaultOptions()
 			base.Mode = c.mode
-			base.Workers = c.workers
-			baseFP, err := runWithOpts(t, nil, base)
+			baseFP, err := runWorkersWithOpts(t, nil, base, c.workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,7 +67,7 @@ func TestFaultTransparency(t *testing.T) {
 			// plan across runs would change the second run's fault weather.
 			plan := faultinject.New(faultinject.Config{Seed: 99, Rate: 0.3})
 			faulted.Faults = plan
-			faultedFP, err := runWithOpts(t, nil, faulted)
+			faultedFP, err := runWorkersWithOpts(t, nil, faulted, c.workers)
 			if err != nil {
 				t.Fatalf("faulted run errored instead of healing: %v", err)
 			}
@@ -80,22 +85,19 @@ func TestFaultTransparency(t *testing.T) {
 
 // TestHardFaultsQuarantine models a fault that never heals: an unbounded
 // quota on the reconstruction site. The run must complete without error,
-// quarantining the poisoned states as Skipped instead of aborting.
+// quarantining the poisoned states as Skipped instead of aborting —
+// standalone and as a 4-shard partition, whose shards carry the quarantined
+// verdicts to the merge.
 func TestHardFaultsQuarantine(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run("workers="+itoa(workers), func(t *testing.T) {
-			prog, err := exps.ProgramByName("ARVR")
-			if err != nil {
-				t.Fatal(err)
-			}
 			opts := paracrash.DefaultOptions()
-			opts.Workers = workers
 			opts.Retry = paracrash.RetryPolicy{MaxAttempts: 2, Backoff: time.Microsecond}
 			opts.Faults = faultinject.New(faultinject.Config{
 				Seed: 1, Rate: 1, Kinds: []faultinject.Kind{faultinject.KindErr},
 				Sites: []string{"pfs/apply"}, MaxPerPoint: 1 << 30,
 			})
-			rep, err := exps.RunOne("beegfs", prog, opts, workloads.DefaultH5Params(), exps.ConfigFor("beegfs"))
+			rep, err := runCell(context.Background(), "beegfs", "ARVR", opts, workers)
 			if err != nil {
 				t.Fatalf("hard faults aborted the run: %v", err)
 			}
@@ -113,18 +115,17 @@ func TestHardFaultsQuarantine(t *testing.T) {
 }
 
 // TestHardFaultsDeterministic: even a fully poisoned run is deterministic —
-// serial and parallel explorations quarantine the same states and produce
-// identical reports.
+// standalone and sharded explorations quarantine the same states and
+// produce identical reports.
 func TestHardFaultsDeterministic(t *testing.T) {
 	run := func(workers int) string {
 		opts := paracrash.DefaultOptions()
-		opts.Workers = workers
 		opts.Retry = paracrash.RetryPolicy{MaxAttempts: 2, Backoff: time.Microsecond}
 		opts.Faults = faultinject.New(faultinject.Config{
 			Seed: 5, Rate: 1, Kinds: []faultinject.Kind{faultinject.KindErr},
 			Sites: []string{"pfs/apply"}, MaxPerPoint: 1 << 30,
 		})
-		fp, err := runWithOpts(t, nil, opts)
+		fp, err := runWorkersWithOpts(t, nil, opts, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -169,14 +170,14 @@ func TestCheckpointResumeIdentical(t *testing.T) {
 // TestChaosResumeDeterminism is the `make chaos` gate: a run under random
 // injected faults is repeatedly killed mid-flight (context deadline) and
 // resumed from its checkpoint journal; the eventual report must be
-// byte-identical to an uninterrupted, unfaulted run. Covers serial and
-// parallel exploration.
+// byte-identical to an uninterrupted, unfaulted run. Covers standalone
+// runs and 4-shard partitions, where every shard and the merge resume
+// their own journals.
 func TestChaosResumeDeterminism(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run("workers="+itoa(workers), func(t *testing.T) {
 			base := paracrash.DefaultOptions()
-			base.Workers = workers
-			baseFP, err := runWithOpts(t, nil, base)
+			baseFP, err := runWorkersWithOpts(t, nil, base, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,7 +192,6 @@ func TestChaosResumeDeterminism(t *testing.T) {
 					t.Fatal("chaos run did not converge in 60 kill/resume rounds")
 				}
 				opts := paracrash.DefaultOptions()
-				opts.Workers = workers
 				opts.Checkpoint = paracrash.OpenCheckpoint(path)
 				opts.Checkpoint.Every = 1 // journal every verdict so each round makes progress
 				// Same seed every round: each fresh plan replays the same
@@ -199,7 +199,7 @@ func TestChaosResumeDeterminism(t *testing.T) {
 				opts.Faults = faultinject.New(faultinject.Config{Seed: 7, Rate: 0.25})
 
 				ctx, cancel := context.WithTimeout(context.Background(), deadline)
-				fp, err := runWithOpts(t, ctx, opts)
+				fp, err := runWorkersWithOpts(t, ctx, opts, workers)
 				cancel()
 				if err == nil {
 					finalFP = fp
@@ -221,26 +221,38 @@ func TestChaosResumeDeterminism(t *testing.T) {
 	}
 }
 
-// TestCancelMidMergeNoLeak cancels a latency-faulted parallel optimized run
-// — the faults stretch the merge window — and asserts all goroutines drain.
+// TestCancelMidMergeNoLeak cancels a latency-faulted shard merge — the
+// faults stretch the merge window — and asserts it returns promptly with
+// every goroutine drained.
 func TestCancelMidMergeNoLeak(t *testing.T) {
-	before := runtime.NumGoroutine()
-
+	prog, err := exps.ProgramByName("ARVR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h5p, conf := workloads.DefaultH5Params(), exps.ConfigFor("beegfs")
 	opts := paracrash.DefaultOptions()
 	opts.Mode = paracrash.ModeOptimized
-	opts.Workers = 4
+	var shards []*paracrash.ShardReport
+	for i := 0; i < 4; i++ {
+		sr, err := exps.RunOneShardContext(context.Background(), "beegfs", prog, opts, h5p, conf, paracrash.ShardSpec{Index: i, Count: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards = append(shards, sr)
+	}
+
+	before := runtime.NumGoroutine()
 	opts.Faults = faultinject.New(faultinject.Config{
 		Seed: 3, Rate: 1, Kinds: []faultinject.Kind{faultinject.KindLatency},
 		MaxPerPoint: 1 << 30, Latency: time.Millisecond,
 	})
-
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := runWithOpts(t, ctx, opts)
+		_, err := exps.MergeOneShardsContext(ctx, "beegfs", prog, opts, h5p, conf, shards)
 		done <- err
 	}()
-	time.Sleep(5 * time.Millisecond) // let workers start publishing to the merge
+	time.Sleep(5 * time.Millisecond) // let the merge get under way
 	cancel()
 
 	select {

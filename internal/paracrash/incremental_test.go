@@ -11,6 +11,7 @@ import (
 	"paracrash/internal/exps"
 	"paracrash/internal/faultinject"
 	"paracrash/internal/paracrash"
+	"paracrash/internal/pfs"
 	"paracrash/internal/trace"
 	"paracrash/internal/workloads"
 )
@@ -40,57 +41,145 @@ func incrementalPrograms(t *testing.T) []*workloads.Program {
 	return progs
 }
 
-// runEngine runs one (backend, program) cell with the given engine selection
-// and returns the report.
-func runEngine(t *testing.T, backend string, prog *workloads.Program, mode paracrash.Mode, workers int, legacy bool) *paracrash.Report {
+// runEngine runs one (backend, program) cell standalone and returns the
+// report.
+func runEngine(t *testing.T, backend string, prog *workloads.Program, mode paracrash.Mode) *paracrash.Report {
 	t.Helper()
-	fs, err := exps.NewFS(backend, exps.ConfigFor(backend), trace.NewRecorder())
-	if err != nil {
-		t.Fatal(err)
-	}
+	return runEngineShards(t, backend, prog, mode, 1)
+}
+
+// runEngineShards runs the cell standalone when workers is 1, otherwise as
+// a workers-way shard partition judged on cluster clones and merged
+// (exps.RunSharded) — a fleet of that many workers in one process.
+func runEngineShards(t *testing.T, backend string, prog *workloads.Program, mode paracrash.Mode, workers int) *paracrash.Report {
+	t.Helper()
 	opts := paracrash.DefaultOptions()
 	opts.Mode = mode
-	opts.Workers = workers
-	opts.DisableIncremental = legacy
-	rep, err := paracrash.Run(fs, nil, prog, opts)
+	rep, err := runProgram(context.Background(), backend, prog, opts, workers)
 	if err != nil {
-		t.Fatalf("%s/%s: %v", backend, prog.Name(), err)
+		t.Fatalf("%s/%s workers=%d: %v", backend, prog.Name(), workers, err)
 	}
 	return rep
 }
 
+// runProgram runs a generated or enumerated program on a fresh cluster:
+// standalone when workers is 1, otherwise as a workers-way shard partition.
+func runProgram(ctx context.Context, backend string, prog *workloads.Program, opts paracrash.Options, workers int) (*paracrash.Report, error) {
+	fs, err := exps.NewFS(backend, exps.ConfigFor(backend), trace.NewRecorder())
+	if err != nil {
+		return nil, err
+	}
+	if workers == 1 {
+		return paracrash.RunContext(ctx, fs, nil, prog, opts)
+	}
+	return exps.RunSharded(ctx, fs, nil, prog, opts, workers)
+}
+
 // TestIncrementalEngineEquivalence is the engine-differential oracle: on
-// every backend and both workload families, the O(delta) incremental engine
-// must reach the exact verdicts of the legacy full-restore engine — same
-// inconsistent states, consequences, legal-state counts, bugs and skip list
-// (the ReportKernel) — while paying no more restores or op replays, and the
-// incremental engine itself must be schedule-independent (serial and
-// parallel runs byte-identical including effort stats).
+// every backend and both workload families, the O(delta) engine must reach,
+// for every generated crash state, exactly the verdict of the from-scratch
+// reference (paracrash.ReferenceVerdicts: restore every server, replay the
+// full kept sequence, recover, mount) — same consistency, layer,
+// consequence, recovered state and legal-state counts. The engine's
+// verdicts come from a single-shard RunShard, which judges every state
+// unpruned along the mode's visiting order (the TSP tour in optimized
+// mode), so the prefix-root transitions between states are what is under
+// test. The engine must also be schedule-independent: a standalone run and
+// a 4-shard partition merge byte-identical, effort stats included.
 func TestIncrementalEngineEquivalence(t *testing.T) {
 	progs := incrementalPrograms(t)
 	for _, backend := range exps.FSNames() {
 		for _, prog := range progs {
 			for _, mode := range []paracrash.Mode{paracrash.ModeBrute, paracrash.ModeOptimized} {
 				t.Run(backend+"/"+prog.Name()+"/"+mode.String(), func(t *testing.T) {
-					legacy := runEngine(t, backend, prog, mode, 1, true)
-					inc := runEngine(t, backend, prog, mode, 1, false)
-					if lk, ik := exps.ReportKernel(legacy), exps.ReportKernel(inc); lk != ik {
-						t.Errorf("verdicts diverge between engines:\n--- legacy ---\n%s--- incremental ---\n%s", lk, ik)
+					opts := paracrash.DefaultOptions()
+					opts.Mode = mode
+					newFS := func() pfs.FileSystem {
+						fs, err := exps.NewFS(backend, exps.ConfigFor(backend), trace.NewRecorder())
+						if err != nil {
+							t.Fatal(err)
+						}
+						return fs
 					}
-					if inc.Stats.ServerRestores > legacy.Stats.ServerRestores {
-						t.Errorf("incremental charged more restores than legacy: %d > %d",
-							inc.Stats.ServerRestores, legacy.Stats.ServerRestores)
+					ref, err := paracrash.ReferenceVerdicts(newFS(), nil, prog, opts)
+					if err != nil {
+						t.Fatal(err)
 					}
-					if inc.Stats.OpsReplayed > legacy.Stats.OpsReplayed {
-						t.Errorf("incremental charged more op replays than legacy: %d > %d",
-							inc.Stats.OpsReplayed, legacy.Stats.OpsReplayed)
+					sr, err := paracrash.RunShard(context.Background(), newFS(), nil, prog, opts, paracrash.ShardSpec{Index: 0, Count: 1})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(sr.Verdicts) != len(ref) || len(ref) == 0 {
+						t.Fatalf("engine judged %d states, reference %d", len(sr.Verdicts), len(ref))
+					}
+					for i, v := range sr.Verdicts {
+						if v != ref[i] {
+							t.Errorf("state %d: verdicts diverge:\n reference: %+v\n engine:    %+v", i, ref[i], v)
+						}
 					}
 
-					par := runEngine(t, backend, prog, mode, 4, false)
-					if sf, pf := exps.ReportFingerprint(inc), exps.ReportFingerprint(par); sf != pf {
-						t.Errorf("incremental serial and parallel runs diverge:\n--- serial ---\n%s--- workers=4 ---\n%s", sf, pf)
+					standalone := runEngine(t, backend, prog, mode)
+					sharded := runEngineShards(t, backend, prog, mode, 4)
+					if sf, pf := exps.ReportFingerprint(standalone), exps.ReportFingerprint(sharded); sf != pf {
+						t.Errorf("standalone and 4-shard runs diverge:\n--- standalone ---\n%s--- 4 shards ---\n%s", sf, pf)
 					}
 				})
+			}
+		}
+	}
+}
+
+// hiddenCapFS exposes only the pfs.FileSystem method set of a backend,
+// hiding its pfs.IncrementalStater capability.
+type hiddenCapFS struct{ pfs.FileSystem }
+
+// partialSnapFS keeps the capability, but its snapshots hold no store for
+// one server.
+type partialSnapFS struct {
+	pfs.FileSystem
+	pfs.IncrementalStater
+	drop string
+}
+
+func (f partialSnapFS) Snapshot() *pfs.State {
+	st := f.FileSystem.Snapshot()
+	delete(st.FS, f.drop)
+	delete(st.Dev, f.drop)
+	return st
+}
+
+// TestIncrementalCapabilityRequired: a file system the O(delta) engine
+// cannot drive is an error naming the missing capability, never a silent
+// fallback — both when pfs.IncrementalStater is missing and when the
+// initial snapshot lacks some server's store.
+func TestIncrementalCapabilityRequired(t *testing.T) {
+	prog := workloads.Generate(workloads.GenConfig{Seed: 11, Ops: 5, Files: 2, Dirs: 1, WithFsync: true})
+	for _, backend := range []string{"beegfs", "lustre"} {
+		newFS := func() pfs.FileSystem {
+			fs, err := exps.NewFS(backend, exps.ConfigFor(backend), trace.NewRecorder())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fs
+		}
+		wrappers := map[string]func() pfs.FileSystem{
+			"no IncrementalStater": func() pfs.FileSystem { return hiddenCapFS{newFS()} },
+			"partial snapshot": func() pfs.FileSystem {
+				fs := newFS()
+				return partialSnapFS{FileSystem: fs, IncrementalStater: fs.(pfs.IncrementalStater), drop: fs.Procs()[0]}
+			},
+		}
+		for name, wrap := range wrappers {
+			if _, ok := wrap().(pfs.IncrementalStater); ok == (name == "no IncrementalStater") {
+				t.Fatalf("%s/%s: wrapper does not shape the capability as intended", backend, name)
+			}
+			_, err := paracrash.Run(wrap(), nil, prog, paracrash.DefaultOptions())
+			if !errors.Is(err, paracrash.ErrIncrementalUnsupported) {
+				t.Errorf("%s/%s: err = %v, want ErrIncrementalUnsupported", backend, name, err)
+			}
+			_, err = paracrash.RunShard(context.Background(), wrap(), nil, prog, paracrash.DefaultOptions(), paracrash.ShardSpec{Index: 0, Count: 2})
+			if !errors.Is(err, paracrash.ErrIncrementalUnsupported) {
+				t.Errorf("%s/%s: RunShard err = %v, want ErrIncrementalUnsupported", backend, name, err)
 			}
 		}
 	}
@@ -100,8 +189,8 @@ func TestIncrementalEngineEquivalence(t *testing.T) {
 // every backend, reconstructing each crash state the incremental way (only
 // the crashed servers restored, each replaying only its own kept ops, in
 // per-server order) must leave the cluster byte-identical — Serialize of
-// every store — to the legacy way (every server restored, kept ops replayed
-// in universe order). This is the physical-commutativity invariant the
+// every store — to the from-scratch way (every server restored, kept ops
+// replayed in universe order). This is the physical-commutativity invariant the
 // O(delta) engine rests on, checked directly against the stores rather than
 // through verdicts.
 func TestIncrementalReconstructionContent(t *testing.T) {
@@ -196,18 +285,13 @@ func TestIncrementalFaultTransparency(t *testing.T) {
 	for _, backend := range []string{"beegfs", "lustre"} {
 		for _, workers := range []int{1, 4} {
 			t.Run(backend+"/workers="+itoa(workers), func(t *testing.T) {
-				base := runEngine(t, backend, prog, paracrash.ModeOptimized, workers, false)
+				base := runEngineShards(t, backend, prog, paracrash.ModeOptimized, workers)
 
-				fs, err := exps.NewFS(backend, exps.ConfigFor(backend), trace.NewRecorder())
-				if err != nil {
-					t.Fatal(err)
-				}
 				opts := paracrash.DefaultOptions()
 				opts.Mode = paracrash.ModeOptimized
-				opts.Workers = workers
 				plan := faultinject.New(faultinject.Config{Seed: 42, Rate: 0.3})
 				opts.Faults = plan
-				faulted, err := paracrash.Run(fs, nil, prog, opts)
+				faulted, err := runProgram(context.Background(), backend, prog, opts, workers)
 				if err != nil {
 					t.Fatalf("faulted incremental run errored instead of healing: %v", err)
 				}
@@ -231,7 +315,7 @@ func TestIncrementalFaultTransparency(t *testing.T) {
 func TestIncrementalChaosResume(t *testing.T) {
 	prog := workloads.Generate(workloads.GenConfig{Seed: 11, Ops: 5, Files: 2, Dirs: 1, WithFsync: true})
 	backend := "lustre"
-	base := runEngine(t, backend, prog, paracrash.ModeOptimized, 1, false)
+	base := runEngine(t, backend, prog, paracrash.ModeOptimized)
 	baseFP := exps.ReportFingerprint(base)
 
 	path := filepath.Join(t.TempDir(), "ckpt.jsonl")

@@ -1,36 +1,32 @@
 package paracrash_test
 
 import (
+	"context"
 	"testing"
 
 	"paracrash/internal/exps"
 	"paracrash/internal/obs"
 	"paracrash/internal/paracrash"
-	"paracrash/internal/workloads"
 )
 
-// runWithObs runs ARVR on BeeGFS with an attached observability run.
+// runWithObs runs ARVR on BeeGFS (see runCell) with an attached
+// observability run.
 func runWithObs(t *testing.T, mode paracrash.Mode, workers int) (*paracrash.Report, *obs.Run) {
 	t.Helper()
-	prog, err := exps.ProgramByName("ARVR")
-	if err != nil {
-		t.Fatal(err)
-	}
 	opts := paracrash.DefaultOptions()
 	opts.Mode = mode
-	opts.Workers = workers
 	r := obs.NewRun()
 	opts.Obs = r
-	rep, err := exps.RunOne("beegfs", prog, opts, workloads.DefaultH5Params(), exps.ConfigFor("beegfs"))
+	rep, err := runCell(context.Background(), "beegfs", "ARVR", opts, workers)
 	if err != nil {
-		t.Fatalf("RunOne(mode=%s, workers=%d): %v", mode, workers, err)
+		t.Fatalf("mode=%s, workers=%d: %v", mode, workers, err)
 	}
 	return rep, r
 }
 
-// TestObsCountersReconcileWithStats is the tentpole's accounting contract:
-// the primary counters must equal the report's Stats exactly — for every
-// strategy, serial and parallel.
+// TestObsCountersReconcileWithStats is the accounting contract: the
+// counters must equal the report's Stats exactly — for every strategy,
+// standalone and merged from an 8-shard partition.
 func TestObsCountersReconcileWithStats(t *testing.T) {
 	for _, mode := range []paracrash.Mode{paracrash.ModeBrute, paracrash.ModePruning, paracrash.ModeOptimized} {
 		for _, workers := range []int{1, 8} {
@@ -63,13 +59,12 @@ func TestObsCountersReconcileWithStats(t *testing.T) {
 						t.Errorf("gauge %s = %d, Stats say %d", name, got, want)
 					}
 				}
-				// Every pipeline phase must have timed exactly one span.
-				phases := []string{obs.PhaseTrace, obs.PhaseGraph, obs.PhaseExplore}
-				if mode == paracrash.ModeOptimized || workers != 1 {
-					phases = append(phases, obs.PhaseGenerate)
-				}
+				// Every pipeline phase must have timed exactly one span; a
+				// merge walks the states in the merge phase instead of the
+				// explore phase.
+				phases := []string{obs.PhaseTrace, obs.PhaseGraph, obs.PhaseGenerate, obs.PhaseExplore}
 				if workers != 1 {
-					phases = append(phases, obs.PhaseMerge)
+					phases[3] = obs.PhaseMerge
 				}
 				byName := map[string]obs.TimerStat{}
 				for _, ts := range s.Timers {
@@ -86,8 +81,9 @@ func TestObsCountersReconcileWithStats(t *testing.T) {
 }
 
 // TestObsPreservesDeterminism pins the acceptance criterion: with metrics
-// attached, a Workers=8 run must still produce a report byte-identical to a
-// Workers=1 run — and both identical to a run with obs disabled.
+// attached, an 8-shard merged run must still produce a report
+// byte-identical to a standalone run — and both identical to a run with
+// obs disabled.
 func TestObsPreservesDeterminism(t *testing.T) {
 	baseFP, _ := runFingerprinted(t, "beegfs", "ARVR", paracrash.ModeBrute, 1) // obs off
 	for _, workers := range []int{1, 8} {

@@ -1,118 +1,15 @@
-// Parallel crash-state exploration: the generated crash-state list is
-// sharded across N workers, each owning a detached clone of the cluster
-// (pfs.Cloner) with its own clients, reconstruction scratch state and
-// replay/check caches. Workers only *judge* states — every verdict is
-// published to a result board keyed by crash-state index. The calling
-// goroutine then replays the exact serial exploration (same visiting
-// order, same pruning decisions, same classifier probes) but satisfies
-// its checks from the board, charging the stats a serial reconstruction
-// would have charged. The report is therefore byte-identical to a
-// Workers=1 run except for Stats.Duration.
-//
-// Pruning is speculative on the workers: they consult the shared BugSet
-// (mutated only by the merge goroutine, read-locked by workers) and skip
-// states that already match a known-bad pair. A worker's pair view at
-// skip time is always a subset of the merge's view when the merge reaches
-// that state, so a skipped state is one the merge would prune too — and
-// if a classifier probe nevertheless needs a skipped state's verdict, the
-// merge computes it locally, exactly as the serial engine would.
-//
-// Everything the workers share — the causality graph, the persist order,
-// the emulator universe, the layer-op tables, the initial snapshot, the
-// golden states and the Library — is immutable during exploration (see
-// the concurrency notes in internal/causality and internal/pfs).
+// Visit planning: the per-server signatures of a crash state's kept ops and
+// the greedy TSP tour over them that the optimized mode (and a shard run in
+// optimized mode) visits states along.
 package paracrash
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
-	"paracrash/internal/obs"
-	"paracrash/internal/pfs"
 	"paracrash/internal/tsp"
 )
-
-// resultBoard collects worker verdicts by crash-state index. await blocks
-// until the state's worker has published (a verdict or a speculative skip);
-// workers themselves never block, so await always terminates. Cancelling
-// the board releases every waiter: await then reports "no verdict" for
-// unpublished states, and the merge goroutine — which polls the run's
-// context between states — exits before asking for another.
-type resultBoard struct {
-	mu       sync.Mutex
-	cond     *sync.Cond
-	res      []checkResult
-	done     []bool // published at all
-	have     []bool // published with a verdict (false = speculatively skipped)
-	canceled bool
-}
-
-func newResultBoard(n int) *resultBoard {
-	b := &resultBoard{res: make([]checkResult, n), done: make([]bool, n), have: make([]bool, n)}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// publish records the verdict for state i.
-func (b *resultBoard) publish(i int, r checkResult) {
-	b.mu.Lock()
-	b.res[i], b.done[i], b.have[i] = r, true, true
-	b.mu.Unlock()
-	b.cond.Broadcast()
-}
-
-// skip records that state i's worker pruned it speculatively.
-func (b *resultBoard) skip(i int) {
-	b.mu.Lock()
-	b.done[i] = true
-	b.mu.Unlock()
-	b.cond.Broadcast()
-}
-
-// await blocks until state i is published and returns its verdict; ok is
-// false when the worker skipped the state (or the board was cancelled
-// before the worker reached it).
-func (b *resultBoard) await(i int) (checkResult, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for !b.done[i] && !b.canceled {
-		b.cond.Wait()
-	}
-	if !b.done[i] {
-		return checkResult{}, false
-	}
-	return b.res[i], b.have[i]
-}
-
-// cancel releases every awaiting goroutine; workers observing the run's
-// context stop publishing shortly after.
-func (b *resultBoard) cancel() {
-	b.mu.Lock()
-	b.canceled = true
-	b.mu.Unlock()
-	b.cond.Broadcast()
-}
-
-// shardStates deals n state indices round-robin onto w shards, so each
-// shard samples the whole front sequence (neighbouring states of one front
-// share Front bitsets and differ in few servers, keeping shard-local TSP
-// tours short).
-func shardStates(n, w int) [][]int {
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	shards := make([][]int, w)
-	for i := 0; i < n; i++ {
-		shards[i%w] = append(shards[i%w], i)
-	}
-	return shards
-}
 
 // stateKey is the cache/dedup key of a crash state.
 func stateKey(cs CrashState) string {
@@ -120,8 +17,8 @@ func stateKey(cs CrashState) string {
 }
 
 // serverProcs returns ServerOps plus the sorted proc names — the
-// deterministic per-server iteration order shared by the serial optimized
-// walk, the shard workers and the merge accounting.
+// deterministic per-server iteration order shared by the visit planner and
+// the reconstructor.
 func (e *Emulator) serverProcs() ([]string, map[string][]int) {
 	serverOps := e.ServerOps()
 	procs := make([]string, 0, len(serverOps))
@@ -151,16 +48,8 @@ func stateSigs(states []CrashState, procs []string, serverOps map[string][]int) 
 	return sigs
 }
 
-// exploreOrder returns the optimized visiting order: the greedy TSP tour
-// over servers-changed distance, or recording order when disabled.
-func exploreOrder(n, nprocs int, sigs [][]string, disableTSP bool) []int {
-	if disableTSP {
-		order := make([]int, n)
-		for i := range order {
-			order[i] = i
-		}
-		return order
-	}
+// exploreOrder returns the greedy TSP tour over servers-changed distance.
+func exploreOrder(n, nprocs int, sigs [][]string) []int {
 	dist := func(i, j int) int {
 		d := 0
 		for pi := 0; pi < nprocs; pi++ {
@@ -171,396 +60,4 @@ func exploreOrder(n, nprocs int, sigs [][]string, disableTSP bool) []int {
 		return d
 	}
 	return tsp.GreedyOrder(n, dist)
-}
-
-// shardSession builds a worker's private session around a detached clone:
-// shared read-only analysis state, private clients and caches. The
-// worker's effort lands on worker/-prefixed counters so the primary
-// session's counters keep reconciling 1:1 with Stats.
-func (s *session) shardSession(fs pfs.FileSystem) *session {
-	ws := &session{
-		fs: fs, lib: s.lib, opts: s.opts, ctx: s.ctx,
-		g: s.g, emu: s.emu, pfsOps: s.pfsOps, libOps: s.libOps,
-		initial:        s.initial,
-		clients:        map[string]pfs.Client{},
-		pfsReplayCache: map[string]string{},
-		legalPFSCache:  map[string]map[string]bool{},
-		libReplayCache: map[string]string{},
-		legalLibCache:  map[string]map[string]bool{},
-		checkCache:     map[string]checkResult{},
-		classes:        map[string]checkResult{},
-		dedupKeys:      map[string]bool{},
-		imageDigests:   map[string]string{},
-		frontPFSStatus: map[string]string{},
-		frontLibStatus: map[string]string{},
-		memoScope:      s.memoScope,
-		goldenPFS:      s.goldenPFS,
-		goldenLib:      s.goldenLib,
-		// The resumed map is shared read-only: workers skip journaled states
-		// just like the merge does. The checkpoint itself stays with the
-		// primary session (only the merge journals fresh verdicts).
-		resumed: s.resumed,
-	}
-	ws.bindObs(s.obs, "worker/")
-	if s.recon != nil {
-		if inc, ok := fs.(pfs.IncrementalStater); ok {
-			// The clone gets its own reconstructor (private physical tracking
-			// and prefix-root caches over the clone's stores, worker/-prefixed
-			// arithmetic charges) seeded from the same shared initial snapshot.
-			ws.recon = newReconstructor(ws, inc)
-		}
-	}
-	return ws
-}
-
-// runParallel shards the states across workers and merges their verdicts
-// deterministically. skip/handle are the serial per-state closures; bugs is
-// shared with the workers for speculative pruning.
-func (s *session) runParallel(states []CrashState, cloner pfs.Cloner, workers int, skip func(CrashState) bool, handle func(CrashState), bugs *BugSet) {
-	board := newResultBoard(len(states))
-	// Cancellation releases the merge goroutine from board.await; the
-	// workers notice the context themselves between states.
-	stopCancel := context.AfterFunc(s.ctx, board.cancel)
-	defer stopCancel()
-	shards := shardStates(len(states), workers)
-	s.obs.Gauge("workers").Set(int64(len(shards)))
-
-	var wg sync.WaitGroup
-	for wi, ids := range shards {
-		// Clones are built sequentially here (backend constructors are not
-		// concurrency-safe against each other's recorder plumbing).
-		clone := cloner.CloneDetached()
-		if oa, ok := clone.(pfs.ObsAware); ok {
-			oa.SetObs(s.obs)
-		}
-		if fa, ok := clone.(pfs.FaultAware); ok {
-			// Clones share the primary's fault plan: injection decisions are
-			// schedule-independent (hash-based), so worker count does not
-			// change which points fault.
-			fa.SetFaults(s.opts.Faults)
-		}
-		ws := s.shardSession(clone)
-		ws.fs.Recorder().SetEnabled(false)
-		// Per-worker shard depth, decremented as the worker publishes; the
-		// progress stream shows stragglers directly.
-		pending := s.obs.Gauge(fmt.Sprintf("worker/%02d/pending", wi))
-		pending.Set(int64(len(ids)))
-		wg.Add(1)
-		go func(ws *session, ids []int, pending *obs.Gauge) {
-			defer wg.Done()
-			// Last-resort quarantine: per-attempt recovery inside check
-			// should contain every backend panic, but if one escapes, the
-			// worker releases its remaining states as "no verdict" (the
-			// merge computes them locally) instead of deadlocking the merge
-			// on a board entry nobody will publish.
-			defer func() {
-				if p := recover(); p != nil {
-					s.obs.Counter("worker/panics").Inc()
-					for _, id := range ids {
-						board.skip(id)
-					}
-				}
-			}()
-			switch {
-			case ws.incremental():
-				ws.exploreShardIncremental(states, ids, bugs, board, pending)
-			case ws.opts.Mode == ModeOptimized:
-				ws.exploreShardOptimized(states, ids, bugs, board, pending)
-			default:
-				ws.exploreShard(states, ids, bugs, board, pending)
-			}
-		}(ws, ids, pending)
-	}
-
-	// Merge on this goroutine, in the exact serial visiting order. Checks
-	// for generated states (and for classifier probes that coincide with
-	// generated states) resolve through the board.
-	byKey := make(map[string]int, len(states))
-	for i, cs := range states {
-		byKey[stateKey(cs)] = i
-	}
-	s.outcomeFor = func(key string) (checkResult, bool) {
-		id, ok := byKey[key]
-		if !ok {
-			return checkResult{}, false
-		}
-		return board.await(id)
-	}
-	stopMerge := s.obs.Phase(obs.PhaseMerge)
-	if s.opts.Mode == ModeOptimized && s.incremental() {
-		// The incremental merge is the serial ordered walk verbatim: check
-		// resolves verdicts through outcomeFor (the board) and the primary's
-		// reconstructor charges the arithmetic walk, so no merge-specific
-		// accounting pass is needed.
-		s.visitOrdered(states, skip, handle)
-	} else if s.opts.Mode == ModeOptimized {
-		s.mergeOptimized(states, skip, handle)
-	} else {
-		for _, cs := range states {
-			if s.ctx.Err() != nil {
-				break
-			}
-			if !skip(cs) {
-				handle(cs)
-			}
-		}
-	}
-	stopMerge()
-	s.outcomeFor = nil
-	wg.Wait()
-}
-
-// exploreShard judges the worker's states in index order (the brute/pruning
-// visiting order), publishing every verdict to the board.
-func (ws *session) exploreShard(states []CrashState, ids []int, bugs *BugSet, board *resultBoard, pending *obs.Gauge) {
-	for _, id := range ids {
-		if ws.ctx.Err() != nil {
-			return
-		}
-		cs := states[id]
-		if ws.opts.Mode != ModeBrute && bugs.KnownBad(cs) {
-			board.skip(id)
-			ws.ctrPruned.Inc()
-			pending.Add(-1)
-			continue
-		}
-		board.publish(id, ws.check(cs))
-		if ws.dedupKeys[stateKey(cs)] {
-			ws.ctrDeduped.Inc()
-		} else {
-			ws.ctrChecked.Inc()
-		}
-		pending.Add(-1)
-	}
-}
-
-// exploreShardIncremental judges the worker's states with the O(delta)
-// reconstructor: along a shard-local TSP tour in optimized mode, in index
-// order otherwise. All per-state logic lives in ws.check — the worker's
-// private reconstructor tracks the clone's physical state, caches prefix
-// roots and charges the worker/-prefixed counters arithmetically.
-func (ws *session) exploreShardIncremental(states []CrashState, ids []int, bugs *BugSet, board *resultBoard, pending *obs.Gauge) {
-	if len(ids) == 0 {
-		return
-	}
-	order := make([]int, len(ids))
-	for k := range order {
-		order[k] = k
-	}
-	if ws.opts.Mode == ModeOptimized {
-		shard := make([]CrashState, len(ids))
-		for k, id := range ids {
-			shard[k] = states[id]
-		}
-		procs, serverOps := ws.emu.serverProcs()
-		sigs := stateSigs(shard, procs, serverOps)
-		order = exploreOrder(len(shard), len(procs), sigs, ws.opts.DisableTSP)
-	}
-	// Prime the fresh clone with the full initial snapshot (an O(1) adoption
-	// per server): the reconstructor only ever touches servers with universe
-	// ops, so servers the traced run never wrote would otherwise keep their
-	// empty mkfs state instead of the initial content every crash state
-	// shares.
-	ws.fs.Restore(ws.initial)
-	for _, k := range order {
-		if ws.ctx.Err() != nil {
-			return
-		}
-		id := ids[k]
-		cs := states[id]
-		if ws.opts.Mode != ModeBrute && bugs.KnownBad(cs) {
-			board.skip(id)
-			ws.ctrPruned.Inc()
-			pending.Add(-1)
-			continue
-		}
-		board.publish(id, ws.check(cs))
-		if ws.dedupKeys[stateKey(cs)] {
-			ws.ctrDeduped.Inc()
-		} else {
-			ws.ctrChecked.Inc()
-		}
-		pending.Add(-1)
-	}
-}
-
-// exploreShardOptimized judges the worker's states along a shard-local TSP
-// tour with incremental per-server reconstruction (the serial optimized
-// engine, confined to the shard).
-func (ws *session) exploreShardOptimized(states []CrashState, ids []int, bugs *BugSet, board *resultBoard, pending *obs.Gauge) {
-	if len(ids) == 0 {
-		return
-	}
-	shard := make([]CrashState, len(ids))
-	for k, id := range ids {
-		shard[k] = states[id]
-	}
-	procs, serverOps := ws.emu.serverProcs()
-	sigs := stateSigs(shard, procs, serverOps)
-	order := exploreOrder(len(shard), len(procs), sigs, ws.opts.DisableTSP)
-
-	// Prime the fresh clone with the full initial snapshot: procs only
-	// lists servers with universe ops, so servers the traced run never
-	// touched would otherwise keep their empty mkfs state instead of the
-	// initial content every crash state shares. (The serial walk needs no
-	// such step — its live cluster already holds every server's content.)
-	ws.fs.Restore(ws.initial)
-
-	// cur charges the worker's effort counters along the unfaulted walk;
-	// phys tracks what is physically on the clone (optimizedCheck re-syncs
-	// dirty servers after a faulted attempt without extra charges).
-	cur := make([]string, len(procs))
-	phys := make([]string, len(procs))
-	for i := range cur {
-		cur[i] = "\x00unset"
-		phys[i] = "\x00unset"
-	}
-	for _, k := range order {
-		if ws.ctx.Err() != nil {
-			return
-		}
-		cs := shard[k]
-		if bugs.KnownBad(cs) {
-			board.skip(ids[k])
-			ws.ctrPruned.Inc()
-			pending.Add(-1)
-			continue
-		}
-		ckey := ""
-		if ws.representative() {
-			ckey = ws.classKey(cs)
-			if r, hit := ws.classes[ckey]; hit {
-				// Class member: publish the shard-local representative's
-				// verdict without advancing the incremental tour. The class
-				// verdict is byte-identical to what this state would compute
-				// (the class key captures every verdict input), so the merge
-				// stays deterministic regardless of shard-local class shape.
-				board.publish(ids[k], r)
-				ws.ctrDeduped.Inc()
-				pending.Add(-1)
-				continue
-			}
-		}
-		for pi, p := range procs {
-			if cur[pi] == sigs[k][pi] {
-				continue
-			}
-			ws.ctrRestores.Inc()
-			for _, n := range serverOps[p] {
-				if cs.Keep.Get(n) {
-					ws.ctrReplayed.Inc()
-				}
-			}
-			cur[pi] = sigs[k][pi]
-		}
-		r, ok := ws.resumed[stateKey(cs)]
-		if !ok {
-			r = ws.optimizedCheck(cs, sigs[k], procs, serverOps, phys)
-			// In-process workers carry no checkpoint (the merge journals);
-			// a fleet shard run owns its journal and records here.
-			ws.journal(stateKey(cs), r)
-		}
-		ws.recordClass(ckey, r)
-		board.publish(ids[k], r)
-		ws.ctrChecked.Inc()
-		pending.Add(-1)
-	}
-}
-
-// mergeOptimized replays the serial optimized walk — same global TSP order,
-// same pruning, same cache discipline — but reconstructs nothing: the
-// incremental restore/replay work is charged arithmetically and verdicts
-// come from s.outcomeFor (the in-process result board, or a fleet run's
-// shard-report lookup), with a local fallback when no verdict was published
-// (a worker skipped the state speculatively).
-func (s *session) mergeOptimized(states []CrashState, skip func(CrashState) bool, handle func(CrashState)) {
-	procs, serverOps := s.emu.serverProcs()
-	sigs := stateSigs(states, procs, serverOps)
-	order := exploreOrder(len(states), len(procs), sigs, s.opts.DisableTSP)
-
-	cur := make([]string, len(procs))
-	for i := range cur {
-		cur[i] = "\x00unset"
-	}
-	for _, idx := range order {
-		if s.ctx.Err() != nil {
-			return
-		}
-		cs := states[idx]
-		if skip(cs) {
-			continue
-		}
-		key := stateKey(cs)
-		ckey := ""
-		if s.representative() {
-			ckey = s.classKey(cs)
-		}
-		if ckey != "" {
-			if _, ok := s.checkCache[key]; !ok {
-				if res, hit := s.classes[ckey]; hit {
-					// Class member, mirroring the serial optimized walk: the
-					// verdict is attributed, the arithmetic tour does not
-					// advance, and the board entry (the worker published one
-					// for every state) is simply never awaited.
-					s.attributeClass(key, res)
-					handle(cs)
-					continue
-				}
-			}
-		}
-		for pi, p := range procs {
-			if cur[pi] == sigs[idx][pi] {
-				continue
-			}
-			s.chargeRestores(1)
-			for _, n := range serverOps[p] {
-				if cs.Keep.Get(n) {
-					s.chargeReplayed(1)
-				}
-			}
-			cur[pi] = sigs[idx][pi]
-		}
-		if _, ok := s.checkCache[key]; !ok {
-			if res, ok := s.resumed[key]; ok {
-				// Journaled verdict: the arithmetic walk above already paid
-				// the reconstruction, so only the legal-set sizes (or the
-				// skip) remain to account.
-				if res.skipped {
-					s.ctrSkipped.Inc()
-				} else {
-					s.chargeLegal(res)
-				}
-				s.checkCache[key] = res
-				s.recordClass(ckey, res)
-			} else {
-				res, published := s.outcomeFor(key)
-				if !published {
-					res = s.computeScratch(cs) // counts its own quarantines
-				} else if res.skipped {
-					s.ctrSkipped.Inc()
-				}
-				s.checkCache[key] = res
-				s.recordClass(ckey, res)
-				s.chargeLegal(res)
-				s.journal(key, res)
-			}
-		}
-		handle(cs)
-	}
-}
-
-// computeScratch reconstructs and judges a state on the primary cluster —
-// with the same bounded retry as the serial engine — without charging
-// restore/replay stats (the optimized merge accounts those through its
-// incremental simulation).
-func (s *session) computeScratch(cs CrashState) checkResult {
-	restores, replayed := s.stats.ServerRestores, s.stats.OpsReplayed
-	res := s.checkWithRetry(cs)
-	// Roll the counters back in lockstep with the stats so the obs totals
-	// keep reconciling 1:1 with the reported Stats. (Failed attempts already
-	// rolled themselves back; this cancels the successful attempt's charge.)
-	s.ctrRestores.Add(int64(restores - s.stats.ServerRestores))
-	s.ctrReplayed.Add(int64(replayed - s.stats.OpsReplayed))
-	s.stats.ServerRestores, s.stats.OpsReplayed = restores, replayed
-	return res
 }

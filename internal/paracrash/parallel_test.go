@@ -1,6 +1,7 @@
 package paracrash_test
 
 import (
+	"context"
 	"regexp"
 	"testing"
 
@@ -13,29 +14,40 @@ import (
 // report that legitimately differs between runs.
 var durRE = regexp.MustCompile(`\| [0-9.]+s`)
 
-// runFingerprinted runs one (program, file system) cell and returns both the
-// structural fingerprint and the rendered report with timings masked.
-func runFingerprinted(t *testing.T, fsName, progName string, mode paracrash.Mode, workers int) (string, string) {
-	t.Helper()
+// runCell runs one named (program, file system) cell: standalone when
+// workers is 1, otherwise as a workers-way shard partition judged on
+// cluster clones and merged (exps.RunOneShardedContext) — the execution
+// shape of a paracrashd fleet with that many workers.
+func runCell(ctx context.Context, fsName, progName string, opts paracrash.Options, workers int) (*paracrash.Report, error) {
 	prog, err := exps.ProgramByName(progName)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
+	if workers == 1 {
+		return exps.RunOneContext(ctx, fsName, prog, opts, workloads.DefaultH5Params(), exps.ConfigFor(fsName))
+	}
+	return exps.RunOneShardedContext(ctx, fsName, prog, opts, workloads.DefaultH5Params(), exps.ConfigFor(fsName), workers)
+}
+
+// runFingerprinted runs one (program, file system) cell (see runCell) and
+// returns both the structural fingerprint and the rendered report with
+// timings masked.
+func runFingerprinted(t *testing.T, fsName, progName string, mode paracrash.Mode, workers int) (string, string) {
+	t.Helper()
 	opts := paracrash.DefaultOptions()
 	opts.Mode = mode
-	opts.Workers = workers
-	rep, err := exps.RunOne(fsName, prog, opts, workloads.DefaultH5Params(), exps.ConfigFor(fsName))
+	rep, err := runCell(context.Background(), fsName, progName, opts, workers)
 	if err != nil {
-		t.Fatalf("RunOne(%s on %s, workers=%d): %v", progName, fsName, workers, err)
+		t.Fatalf("%s on %s, workers=%d: %v", progName, fsName, workers, err)
 	}
 	return exps.ReportFingerprint(rep), durRE.ReplaceAllString(rep.Format(), "| <dur>")
 }
 
-// TestParallelMatchesSerial is the parallel engine's contract: for every
-// backend and a representative workload mix, a 4-worker exploration must
-// produce a report identical to the serial engine's — same crash states, same
-// bugs with the same dedup keys, same statistics, same rendered text modulo
-// wall-clock time.
+// TestParallelMatchesSerial is the sharded execution shape's contract: for
+// every backend and a representative workload mix, a 4-shard partition
+// judged on cluster clones and merged must produce a report identical to
+// the standalone run's — same crash states, same bugs with the same dedup
+// keys, same statistics, same rendered text modulo wall-clock time.
 func TestParallelMatchesSerial(t *testing.T) {
 	type cell struct {
 		prog string
@@ -65,8 +77,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelWorkerCounts varies the worker count on one cell: any N must
-// reproduce the serial report, including N far above the state count.
+// TestParallelWorkerCounts varies the shard count on one cell: any N must
+// reproduce the standalone report, including N far above the state count
+// (empty shards).
 func TestParallelWorkerCounts(t *testing.T) {
 	serialFP, _ := runFingerprinted(t, "beegfs", "ARVR", paracrash.ModeBrute, 1)
 	for _, w := range []int{2, 3, 8, 64} {

@@ -1,6 +1,7 @@
 package paracrash
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -9,19 +10,16 @@ import (
 	"paracrash/internal/trace"
 )
 
-// TestShardStatesPartition checks the sharding invariants the merge relies
-// on: every crash-state index appears in exactly one shard, and shard sizes
-// differ by at most one.
+// TestShardStatesPartition checks the dealing invariants MergeShards
+// relies on: across the shards of a partition every crash-state index
+// appears in exactly one shard, and shard sizes differ by at most one.
 func TestShardStatesPartition(t *testing.T) {
 	for n := 0; n <= 17; n++ {
 		for w := 1; w <= 6; w++ {
-			shards := shardStates(n, w)
 			seen := make(map[int]bool)
 			minSz, maxSz := n+1, 0
-			for _, ids := range shards {
-				if len(ids) == 0 && n > 0 {
-					t.Errorf("n=%d w=%d: empty shard", n, w)
-				}
+			for i := 0; i < w; i++ {
+				ids := ShardSpec{Index: i, Count: w}.indices(n)
 				if len(ids) < minSz {
 					minSz = len(ids)
 				}
@@ -43,7 +41,7 @@ func TestShardStatesPartition(t *testing.T) {
 					t.Errorf("n=%d w=%d: index %d missing", n, w, id)
 				}
 			}
-			if n > 0 && maxSz-minSz > 1 {
+			if maxSz-minSz > 1 {
 				t.Errorf("n=%d w=%d: shard sizes unbalanced (%d..%d)", n, w, minSz, maxSz)
 			}
 		}
@@ -75,8 +73,8 @@ func (renameWorkload) Run(fs pfs.FileSystem) error {
 	return c.Rename("/d/tmp", "/d/final")
 }
 
-// TestCloneDetachedIsIndependent checks the Cloner contract the workers
-// depend on: mutating a clone's stores never leaks into the original.
+// TestCloneDetachedIsIndependent checks the Cloner contract shard runs over
+// clones depend on: mutating a clone's stores never leaks into the original.
 func TestCloneDetachedIsIndependent(t *testing.T) {
 	var fs pfs.FileSystem = beegfs.New(pfs.DefaultConfig(), trace.NewRecorder())
 	if err := (renameWorkload{}).Preamble(fs); err != nil {
@@ -113,30 +111,39 @@ func TestCloneDetachedIsIndependent(t *testing.T) {
 	}
 }
 
-// TestRunParallelMatchesSerialWhiteBox drives Run directly (no exps helper)
-// on a local workload and asserts the parallel engine visits the same state
-// space: identical generated/checked counts, bugs, and per-state records.
+// TestRunParallelMatchesSerialWhiteBox drives the engine directly (no exps
+// helper) on a local workload and asserts that a 4-shard partition judged
+// on detached clones (RunShard) and merged (MergeShards) visits the same
+// state space as a serial Run: identical stats, bugs and per-state records.
 func TestRunParallelMatchesSerialWhiteBox(t *testing.T) {
 	for _, mode := range []Mode{ModeBrute, ModePruning, ModeOptimized} {
-		run := func(workers int) *Report {
-			opts := DefaultOptions()
-			opts.Mode = mode
-			opts.Workers = workers
-			fs := beegfs.New(pfs.DefaultConfig(), trace.NewRecorder())
-			rep, err := Run(fs, nil, renameWorkload{}, opts)
-			if err != nil {
-				t.Fatalf("%v workers=%d: %v", mode, workers, err)
-			}
-			return rep
+		opts := DefaultOptions()
+		opts.Mode = mode
+		newFS := func() *beegfs.FS { return beegfs.New(pfs.DefaultConfig(), trace.NewRecorder()) }
+		serial, err := Run(newFS(), nil, renameWorkload{}, opts)
+		if err != nil {
+			t.Fatalf("%v serial: %v", mode, err)
 		}
-		serial, par := run(1), run(4)
+		primary := newFS()
+		var shards []*ShardReport
+		for i := 0; i < 4; i++ {
+			sr, err := RunShard(context.Background(), primary.CloneDetached(), nil, renameWorkload{}, opts, ShardSpec{Index: i, Count: 4})
+			if err != nil {
+				t.Fatalf("%v shard %d: %v", mode, i, err)
+			}
+			shards = append(shards, sr)
+		}
+		par, err := MergeShards(context.Background(), primary, nil, renameWorkload{}, opts, shards)
+		if err != nil {
+			t.Fatalf("%v merge: %v", mode, err)
+		}
 		stats1, statsN := serial.Stats, par.Stats
 		stats1.Duration, statsN.Duration = 0, 0
 		if stats1 != statsN {
-			t.Errorf("%v: stats differ\nserial:   %+v\nworkers4: %+v", mode, stats1, statsN)
+			t.Errorf("%v: stats differ\nserial:  %+v\nsharded: %+v", mode, stats1, statsN)
 		}
 		if len(serial.Bugs) != len(par.Bugs) {
-			t.Fatalf("%v: %d bugs serial vs %d parallel", mode, len(serial.Bugs), len(par.Bugs))
+			t.Fatalf("%v: %d bugs serial vs %d sharded", mode, len(serial.Bugs), len(par.Bugs))
 		}
 		for i := range serial.Bugs {
 			if *serial.Bugs[i] != *par.Bugs[i] {
@@ -144,7 +151,7 @@ func TestRunParallelMatchesSerialWhiteBox(t *testing.T) {
 			}
 		}
 		if len(serial.States) != len(par.States) {
-			t.Fatalf("%v: %d state records serial vs %d parallel", mode, len(serial.States), len(par.States))
+			t.Fatalf("%v: %d state records serial vs %d sharded", mode, len(serial.States), len(par.States))
 		}
 		for i := range serial.States {
 			a, b := serial.States[i], par.States[i]

@@ -1,10 +1,10 @@
 // Incremental O(delta) crash-state reconstruction.
 //
-// The legacy engine rebuilt every crash state from scratch: restore every
-// server store from the initial snapshot, then replay every kept lowermost
-// op. With the vfs/blockdev substrates now persistent (O(1) snapshot and
-// restore), reconstruction can move *between* crash states by undoing and
-// applying op deltas instead:
+// Rebuilding every crash state from scratch means restoring every server
+// store from the initial snapshot and replaying every kept lowermost op.
+// Because the vfs/blockdev substrates are persistent (O(1) snapshot and
+// restore), reconstruction instead moves *between* crash states by undoing
+// and applying op deltas:
 //
 //   - Every server's reconstruction target is its kept-op subsequence (the
 //     same per-server signature the greedy-TSP ordering minimises distance
@@ -22,9 +22,8 @@
 // simulation of the same prefix-cache policy and charges Stats.ServerRestores
 // and Stats.OpsReplayed for exactly the restores and op replays an unfaulted
 // serial walk would perform. Because the simulation is a pure function of
-// the visit sequence, faulted retries, checkpoint resume and parallel merge
-// all report byte-identical effort stats — the same invariant the legacy
-// engine maintained with per-attempt charge rollback, now by construction.
+// the visit sequence, faulted retries, checkpoint resume and shard merges
+// all report byte-identical effort stats by construction.
 package paracrash
 
 import (
@@ -54,9 +53,8 @@ const dirtySig = "\x00dirty"
 const unsetSig = "\x00unset"
 
 // reconstructor moves the live cluster between crash states in O(delta).
-// One reconstructor serves one session (the primary's or a shard worker's
-// clone); it owns the per-server physical signature tracking and the
-// prefix-root caches.
+// One reconstructor serves one session; it owns the per-server physical
+// signature tracking and the prefix-root caches.
 type reconstructor struct {
 	s   *session
 	inc pfs.IncrementalStater
@@ -149,11 +147,19 @@ func (sk serverKept) sig() string {
 	return sk.keys[len(sk.keys)-1]
 }
 
-// newReconstructor builds the incremental reconstruction state for s, or
-// returns nil when the initial snapshot lacks a store for some server (an
-// external FileSystem keeping state outside vfs/blockdev stores — the
-// caller then falls back to the legacy full-restore engine).
-func newReconstructor(s *session, inc pfs.IncrementalStater) *reconstructor {
+// newReconstructor builds the incremental reconstruction state for s. It
+// fails with ErrIncrementalUnsupported when the file system cannot capture
+// per-server snapshots or its initial snapshot lacks a store for some
+// server (an external FileSystem keeping state outside vfs/blockdev
+// stores).
+func newReconstructor(s *session) (*reconstructor, error) {
+	inc, ok := s.fs.(pfs.IncrementalStater)
+	if !ok {
+		return nil, fmt.Errorf("%w: %s does not implement pfs.IncrementalStater", ErrIncrementalUnsupported, s.fs.Name())
+	}
+	missing := func(p string) error {
+		return fmt.Errorf("%w: the initial snapshot of %s holds no store for server %s", ErrIncrementalUnsupported, s.fs.Name(), p)
+	}
 	procs, serverOps := s.emu.serverProcs()
 	r := &reconstructor{
 		s: s, inc: inc, procs: procs, serverOps: serverOps,
@@ -167,7 +173,7 @@ func newReconstructor(s *session, inc pfs.IncrementalStater) *reconstructor {
 	for pi, p := range procs {
 		snap, ok := s.initial.ServerSnap(p)
 		if !ok {
-			return nil
+			return nil, missing(p)
 		}
 		r.initials[pi] = snap
 		r.phys[pi] = unsetSig
@@ -185,13 +191,13 @@ func newReconstructor(s *session, inc pfs.IncrementalStater) *reconstructor {
 		}
 		snap, ok := s.initial.ServerSnap(p)
 		if !ok {
-			return nil
+			return nil, missing(p)
 		}
 		r.others = append(r.others, p)
 		r.otherSnaps = append(r.otherSnaps, snap)
 	}
 	r.outcomes = map[string]*recoveredOutcome{}
-	return r
+	return r, nil
 }
 
 // markAllDirty records that something mutated the whole cluster in place
@@ -277,8 +283,8 @@ func (r *reconstructor) keptOf(cs CrashState) []serverKept {
 // chargeState charges the arithmetic O(delta) cost of visiting cs: one
 // restore per server whose signature changes, plus the kept ops past the
 // longest simulated cached prefix. It must be called exactly once per
-// charged visit (fresh verdict, resumed verdict, board verdict), never for
-// cache hits or class attributions — the rule every engine shares.
+// charged visit (fresh, resumed or shard-merged verdict), never for cache
+// hits or class attributions.
 func (r *reconstructor) chargeState(cs CrashState) {
 	ks := r.keptOf(cs)
 	for pi := range r.procs {

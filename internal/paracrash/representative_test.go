@@ -55,21 +55,17 @@ func assertEquivalent(t *testing.T, label string, p reportPair) {
 	}
 }
 
-// namedPair runs a named program cell twice through exps (which wires I/O
-// libraries for the H5 workloads) with representative exploration off and on.
+// namedPair runs a named program cell (see runCell, which wires I/O
+// libraries for the H5 workloads) twice, with representative exploration
+// off and on.
 func namedPair(t *testing.T, fsName, progName string, mode paracrash.Mode, workers int) reportPair {
 	t.Helper()
-	prog, err := exps.ProgramByName(progName)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var p reportPair
 	for _, disable := range []bool{true, false} {
 		opts := paracrash.DefaultOptions()
 		opts.Mode = mode
-		opts.Workers = workers
 		opts.DisableRepresentative = disable
-		rep, err := exps.RunOne(fsName, prog, opts, workloads.DefaultH5Params(), exps.ConfigFor(fsName))
+		rep, err := runCell(context.Background(), fsName, progName, opts, workers)
 		if err != nil {
 			t.Fatalf("%s/%s disable=%v: %v", fsName, progName, disable, err)
 		}
@@ -258,14 +254,13 @@ func TestRepresentativeQuarantineDoesNotPoisonClass(t *testing.T) {
 func TestRepresentativeChaosResume(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		base := paracrash.DefaultOptions()
-		base.Workers = workers
-		baseFP, err := runWithOpts(t, nil, base)
+		baseFP, err := runWorkersWithOpts(t, nil, base, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		bref := base
 		bref.DisableRepresentative = true
-		bruteFP, err := runWithOpts(t, nil, bref)
+		bruteFP, err := runWorkersWithOpts(t, nil, bref, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,13 +277,12 @@ func TestRepresentativeChaosResume(t *testing.T) {
 				t.Fatal("chaos run did not converge in 60 kill/resume rounds")
 			}
 			opts := paracrash.DefaultOptions()
-			opts.Workers = workers
 			opts.Checkpoint = paracrash.OpenCheckpoint(path)
 			opts.Checkpoint.Every = 1
 			opts.Faults = faultinject.New(faultinject.Config{Seed: 13, Rate: 0.25})
 
 			ctx, cancel := context.WithTimeout(context.Background(), deadline)
-			fp, err := runWithOpts(t, ctx, opts)
+			fp, err := runWorkersWithOpts(t, ctx, opts, workers)
 			cancel()
 			if err == nil {
 				finalFP = fp

@@ -12,7 +12,8 @@ import (
 
 // digestSession builds the minimal white-box session crashDigest and
 // classKey need: a recorded run of the in-package rename workload on
-// BeeGFS with its causality graph and emulator.
+// BeeGFS with its causality graph, emulator and reconstructor, the cluster
+// primed at the initial snapshot like prepare leaves it.
 func digestSession(t *testing.T) (*session, []CrashState) {
 	t.Helper()
 	rec := trace.NewRecorder()
@@ -42,6 +43,12 @@ func digestSession(t *testing.T) (*session, []CrashState) {
 		frontPFSStatus: map[string]string{},
 		frontLibStatus: map[string]string{},
 	}
+	recon, err := newReconstructor(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.recon = recon
+	fs.Restore(initial)
 	var states []CrashState
 	emu.Generate(s.opts.Emulator, func(cs CrashState) bool {
 		states = append(states, cs)
@@ -55,9 +62,11 @@ func digestSession(t *testing.T) (*session, []CrashState) {
 
 // recoveredContent reconstructs a crash state the slow honest way and
 // returns what the shadow pipeline is supposed to digest: the serialized
-// mount tree, or the recovery/mount failure text.
+// mount tree, or the recovery/mount failure text. It rebuilds the whole
+// cluster, so the reconstructor must not trust any server afterwards.
 func recoveredContent(t *testing.T, s *session, cs CrashState) string {
 	t.Helper()
+	defer s.recon.markAllDirty()
 	s.fs.Restore(s.initial)
 	for _, i := range s.emu.Universe {
 		if !cs.Keep.Get(i) {
@@ -82,7 +91,6 @@ func recoveredContent(t *testing.T, s *session, cs CrashState) string {
 // sharing a class digest provably recovered to identical content.
 func TestClassKeyNeverCollidesAcrossRecoveredContent(t *testing.T) {
 	s, states := digestSession(t)
-	saved := s.fs.Snapshot()
 	contentByClass := map[string]string{}
 	distinct := map[string]bool{}
 	for _, cs := range states {
@@ -91,7 +99,6 @@ func TestClassKeyNeverCollidesAcrossRecoveredContent(t *testing.T) {
 			t.Fatalf("classKey empty without fault injection for state %s", cs.Keep.Key())
 		}
 		want := recoveredContent(t, s, cs)
-		s.fs.Restore(saved)
 		distinct[want] = true
 		if got, ok := contentByClass[ckey]; ok {
 			if got != want {
@@ -122,16 +129,29 @@ func TestClassKeyNeverCollidesAcrossRecoveredContent(t *testing.T) {
 
 // TestCrashDigestDeterministicAndStatePreserving pins two contracts the
 // call sites rely on: repeated digests of one state are identical (memo or
-// not), and the shadow pipeline restores the live cluster exactly as it
-// found it — the optimized walk's physical-state tracking depends on that.
+// not), and the shadow pipeline keeps the walk's physical-state tracking
+// truthful — bringing the state the walk stood on back after a digest of
+// another state reproduces that state's stores byte for byte.
 func TestCrashDigestDeterministicAndStatePreserving(t *testing.T) {
 	s, states := digestSession(t)
-	cs := states[len(states)/2]
-	before := s.fs.Snapshot()
-	beforeTree, err := s.fs.Mount()
-	if err != nil {
+	cs, prev := states[len(states)/2], states[len(states)-1]
+	stores := func() string {
+		st := s.fs.Snapshot()
+		var b strings.Builder
+		for _, p := range s.fs.Procs() {
+			if f, ok := st.FS[p]; ok {
+				b.WriteString(f.Serialize())
+			}
+			if d, ok := st.Dev[p]; ok {
+				b.WriteString(d.Serialize())
+			}
+		}
+		return b.String()
+	}
+	if err := s.recon.bring(prev); err != nil {
 		t.Fatal(err)
 	}
+	before := stores()
 	d1, err := s.crashDigest(cs)
 	if err != nil {
 		t.Fatal(err)
@@ -144,12 +164,10 @@ func TestCrashDigestDeterministicAndStatePreserving(t *testing.T) {
 	if d1 != d2 {
 		t.Fatalf("crashDigest not deterministic: %q vs %q", d1, d2)
 	}
-	afterTree, err := s.fs.Mount()
-	if err != nil {
+	if err := s.recon.bring(prev); err != nil {
 		t.Fatal(err)
 	}
-	if beforeTree.Serialize() != afterTree.Serialize() {
-		t.Fatal("shadow pipeline left the live cluster in a different state")
+	if after := stores(); after != before {
+		t.Fatal("shadow pipeline left the reconstructor's tracking stale: the walk's state came back different")
 	}
-	s.fs.Restore(before)
 }

@@ -1,26 +1,25 @@
 // Shard-scoped exploration: the cross-process half of the fleet design.
 // A coordinator partitions one run's crash-state space into Count shards by
-// dealing the deterministic generation order round-robin (the same dealing
-// shardStates uses in-process), hands each shard to a worker process, and
-// merges the shard reports back into the byte-identical serial report.
+// dealing the deterministic generation order round-robin, hands each shard
+// to a worker process, and merges the shard reports back into the
+// byte-identical serial report.
 //
 // RunShard is the worker side: it rebuilds the full analysis state (trace,
 // causality graph, emulator universe, golden states — prepare is pure per
 // configuration, so every process derives the identical generation order),
 // judges only the states whose generation index falls in its shard, and
 // returns their verdicts in a serializable ShardReport. Workers never prune
-// speculatively — a worker process has no view of the merge's BugSet, so it
-// judges every state it owns; the merge prunes, exactly as the in-process
-// parallel engine's merge pass does for speculatively skipped states.
+// — a worker process has no view of the merge's BugSet, so it judges every
+// state it owns, and the merge prunes.
 //
 // MergeShards is the coordinator side: it validates that the shard reports
 // cover the partition and were produced under the same verdict-relevant
 // configuration, then replays the full serial pipeline resolving checks
-// through the collected verdicts (the outcomeFor seam the in-process merge
-// already uses), computing locally only what no shard judged (classifier
-// probes outside the generated set). The resulting report is byte-identical
-// to RunContext — same Stats, same state keys, same bug set — which is what
-// lets a fleet run stand in for a standalone one.
+// through the collected verdicts (the session's outcomeFor seam),
+// computing locally only what no shard judged (classifier probes outside
+// the generated set). The resulting report is byte-identical to RunContext
+// — same Stats, same state keys, same bug set — which is what lets a fleet
+// run stand in for a standalone one.
 package paracrash
 
 import (
@@ -58,8 +57,8 @@ func (sp ShardSpec) Validate() error {
 // resumes only into the same shard of the same partition.
 func (sp ShardSpec) suffix() string { return fmt.Sprintf("|shard=%d/%d", sp.Index, sp.Count) }
 
-// indices returns the generation indices this shard owns out of n states —
-// the round-robin dealing shardStates uses, expressed per shard.
+// indices returns the generation indices this shard owns out of n states:
+// every Count-th index starting at Index.
 func (sp ShardSpec) indices(n int) []int {
 	var ids []int
 	for i := sp.Index; i < n; i += sp.Count {
@@ -138,8 +137,9 @@ type ShardReport struct {
 // space and returns the shard's verdicts. The preparation phases (preamble,
 // traced run, causality analysis, golden replay) run in full — they are
 // what make the generation order, and with it the shard partition, stable
-// across processes. Options.Workers is ignored: a shard explores serially
-// (fleet parallelism is between processes, not within a shard).
+// across processes. The shard's states are judged in one serial walk, along
+// a shard-local TSP tour in optimized mode (fleet parallelism is between
+// processes, not within a shard).
 //
 // With Options.Checkpoint set, the shard journals verdicts under a
 // shard-scoped fingerprint and resumes from a compatible journal, so a
@@ -170,34 +170,35 @@ func RunShard(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload, o
 
 	// Generate the full state space — the dealing is positional, so a shard
 	// must see the same list every process sees — then keep our slice.
-	stopGen := opts.Obs.Phase(obs.PhaseGenerate)
-	var states []CrashState
-	generated := s.emu.Generate(opts.emulatorConfig(), func(cs CrashState) bool {
-		states = append(states, cs)
-		return ctx.Err() == nil
-	})
-	stopGen()
+	states := s.generate()
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("paracrash: shard cancelled: %w", err)
 	}
 	ids := shard.indices(len(states))
-	opts.Obs.Counter("states/generated").Add(int64(generated))
+	owned := make([]CrashState, len(ids))
+	for k, id := range ids {
+		owned[k] = states[id]
+	}
 	opts.Obs.Gauge("shard/states").Set(int64(len(ids)))
-
-	// Judge the shard with the in-process worker loops: an empty BugSet (no
-	// speculative pruning cross-process) and a board to collect verdicts.
-	// The loops publish a verdict for every owned id unless cancelled.
-	board := newResultBoard(len(states))
-	bugs := NewBugSet()
 	pending := opts.Obs.Gauge("shard/pending")
+	pending.Set(int64(len(ids)))
+
+	// Judge every owned state: no pruning (the merge owns the BugSet), so
+	// each one gets a verdict unless the run is cancelled.
+	results := make([]checkResult, len(owned))
 	stopExplore := opts.Obs.Phase(obs.PhaseExplore)
-	switch {
-	case s.incremental():
-		s.exploreShardIncremental(states, ids, bugs, board, pending)
-	case opts.Mode == ModeOptimized:
-		s.exploreShardOptimized(states, ids, bugs, board, pending)
-	default:
-		s.exploreShard(states, ids, bugs, board, pending)
+	for _, k := range s.visitOrder(owned) {
+		if ctx.Err() != nil {
+			break
+		}
+		cs := owned[k]
+		results[k] = s.check(cs)
+		if s.dedupKeys[stateKey(cs)] {
+			s.ctrDeduped.Inc()
+		} else {
+			s.ctrChecked.Inc()
+		}
+		pending.Add(-1)
 	}
 	stopExplore()
 
@@ -207,13 +208,9 @@ func RunShard(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload, o
 		return nil, fmt.Errorf("paracrash: shard cancelled: %w", err)
 	}
 
-	rep := &ShardReport{Shard: shard, Config: config, StatesGenerated: generated}
-	for _, id := range ids {
-		res, ok := board.await(id) // published: the loops covered every id
-		if !ok {
-			return nil, fmt.Errorf("paracrash: shard %s: no verdict for state %d", shard, id)
-		}
-		rep.Verdicts = append(rep.Verdicts, newVerdict(stateKey(states[id]), res))
+	rep := &ShardReport{Shard: shard, Config: config, StatesGenerated: s.stats.StatesGenerated}
+	for k, cs := range owned {
+		rep.Verdicts = append(rep.Verdicts, newVerdict(stateKey(cs), results[k]))
 	}
 	rep.StatesChecked = len(s.checkCache)
 	return rep, nil

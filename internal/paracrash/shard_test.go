@@ -62,8 +62,7 @@ func TestShardMergeEquivalence(t *testing.T) {
 				t.Run(backend+"/"+prog.Name()+"/"+mode.String(), func(t *testing.T) {
 					opts := paracrash.DefaultOptions()
 					opts.Mode = mode
-					opts.Workers = 1
-					standalone := runEngine(t, backend, prog, mode, 1, false)
+					standalone := runEngine(t, backend, prog, mode)
 					merged := mergeShards(t, backend, prog, opts, runShards(t, backend, prog, opts, 3))
 					if sf, mf := exps.ReportFingerprint(standalone), exps.ReportFingerprint(merged); sf != mf {
 						t.Errorf("3-shard fleet report differs from standalone:\n--- standalone ---\n%s--- fleet ---\n%s", sf, mf)
@@ -75,9 +74,10 @@ func TestShardMergeEquivalence(t *testing.T) {
 }
 
 // TestShardMergeEquivalenceKnobs re-runs the byte-identity oracle on one
-// backend with the engine ablation knobs flipped: the legacy full-restore
-// engine, representative exploration off, and a single-shard partition
-// (the degenerate fleet) must all merge to their standalone fingerprints.
+// backend with the engine ablation knobs flipped: representative
+// exploration off, a single-shard partition (the degenerate fleet) and a
+// partition wider than usual must all merge to their standalone
+// fingerprints.
 func TestShardMergeEquivalenceKnobs(t *testing.T) {
 	prog := workloads.Generate(workloads.GenConfig{Seed: 11, Ops: 5, Files: 2, Dirs: 1, WithFsync: true})
 	backend := "beegfs"
@@ -86,8 +86,6 @@ func TestShardMergeEquivalenceKnobs(t *testing.T) {
 		mut    func(*paracrash.Options)
 		shards int
 	}{
-		{"legacy-engine", func(o *paracrash.Options) { o.DisableIncremental = true }, 3},
-		{"legacy-optimized", func(o *paracrash.Options) { o.DisableIncremental = true; o.Mode = paracrash.ModeOptimized }, 3},
 		{"no-representative", func(o *paracrash.Options) { o.DisableRepresentative = true }, 3},
 		{"single-shard", func(o *paracrash.Options) {}, 1},
 		{"many-shards", func(o *paracrash.Options) {}, 7},
@@ -95,7 +93,6 @@ func TestShardMergeEquivalenceKnobs(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := paracrash.DefaultOptions()
-			opts.Workers = 1
 			tc.mut(&opts)
 			fs, err := exps.NewFS(backend, exps.ConfigFor(backend), trace.NewRecorder())
 			if err != nil {
@@ -184,8 +181,7 @@ func TestShardChaosResume(t *testing.T) {
 	backend := "lustre"
 	opts := paracrash.DefaultOptions()
 	opts.Mode = paracrash.ModeOptimized
-	opts.Workers = 1
-	base := runEngine(t, backend, prog, paracrash.ModeOptimized, 1, false)
+	base := runEngine(t, backend, prog, paracrash.ModeOptimized)
 	baseFP := exps.ReportFingerprint(base)
 
 	const count = 3

@@ -139,8 +139,7 @@ type Cluster struct {
 
 // ObsAware is implemented by file systems that can attach an observability
 // run (every Cluster-based FileSystem). The explorer sets the run on the
-// primary cluster and on each worker clone; a shared *obs.Run is safe for
-// concurrent use.
+// cluster it explores; a shared *obs.Run is safe for concurrent use.
 type ObsAware interface {
 	SetObs(*obs.Run)
 }
@@ -150,8 +149,8 @@ func (c *Cluster) SetObs(r *obs.Run) { c.obsRun = r }
 
 // FaultAware is implemented by file systems that can arm a fault-injection
 // plan (every Cluster-based FileSystem). The explorer arms the plan on the
-// primary cluster and on each worker clone; a shared *faultinject.Plan is
-// safe for concurrent use.
+// cluster it explores; a shared *faultinject.Plan is safe for concurrent
+// use.
 type FaultAware interface {
 	SetFaults(*faultinject.Plan)
 }

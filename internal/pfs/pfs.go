@@ -122,10 +122,9 @@ type FileSystem interface {
 // Cloner is implemented by file systems whose deployment can be cloned
 // into a detached replica: a new FileSystem with the same configuration and
 // freshly formatted server stores that shares no mutable state with the
-// original. The parallel exploration engine gives each worker a clone and
-// rebuilds every crash state in it via Restore/ApplyLowermost from a shared
-// read-only snapshot, so the clone never needs the original's store
-// content — only its allocator positions. Implementations must copy any
+// original. An in-process sharded run judges each shard on a clone, which
+// rebuilds its crash states from its own traced run, so the clone never
+// needs the original's store content — only its allocator positions. Implementations must copy any
 // in-memory ID counters from the source so that client operations replayed
 // in the clone allocate identifiers that cannot collide with objects
 // already present in restored snapshots. The clone's Recorder must start

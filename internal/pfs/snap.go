@@ -18,11 +18,11 @@ type ServerSnap struct {
 // Valid reports whether the snap holds a store.
 func (s ServerSnap) Valid() bool { return s.fs != nil || s.dev != nil }
 
-// IncrementalStater is an optional capability of FileSystems whose server
-// stores support O(1) per-server capture and restore. Every Cluster-based
-// FileSystem implements it for free; external implementations that keep
-// persistent state outside vfs/blockdev stores simply lack it, and the
-// explorer falls back to whole-cluster Restore + full replay for them.
+// IncrementalStater is the capability of FileSystems whose server stores
+// support O(1) per-server capture and restore. Every Cluster-based
+// FileSystem implements it for free. The explorer rebuilds crash states
+// through it and refuses a FileSystem without it (an external
+// implementation keeping persistent state outside vfs/blockdev stores).
 type IncrementalStater interface {
 	// CaptureServer snapshots proc's store in O(1). ok is false when proc
 	// names no server.

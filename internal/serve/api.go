@@ -72,17 +72,15 @@ type JobRequest struct {
 	LibModel string `json:"lib_model,omitempty"`
 	// K is Algorithm 1's victims-per-front bound (default 1).
 	K int `json:"k,omitempty"`
-	// Workers is the per-job exploration worker budget; the scheduler
+	// Workers is a fuzz job's campaign-cell concurrency; the scheduler
 	// clamps it to its per-job maximum. 0 keeps the scheduler's default.
+	// Explore jobs reject it: each explores serially, and a fleet splits
+	// the work into Shards instead.
 	Workers int `json:"workers,omitempty"`
 	// Representative toggles representative-state exploration (nil keeps
 	// the engine default: on). Set false for a brute-force-equivalent run
 	// that reconstructs every crash state.
 	Representative *bool `json:"representative,omitempty"`
-	// Incremental toggles O(delta) incremental crash-state reconstruction
-	// (nil keeps the engine default: on). Set false to rebuild every crash
-	// state with a full restore and replay. Explore jobs only.
-	Incremental *bool `json:"incremental,omitempty"`
 	// Shards requests a fleet partition width for this explore job: the
 	// coordinator splits the crash-state space into this many shards for
 	// worker processes to claim. 0 keeps the daemon's default; values are
@@ -151,6 +149,9 @@ func (r *JobRequest) Normalize() error {
 		return nil
 	}
 
+	if r.Workers > 0 {
+		return fmt.Errorf("workers applies to fuzz jobs only; an explore job explores serially (use shards to split it across a fleet)")
+	}
 	if r.FS == "" {
 		r.FS = "beegfs"
 	}
@@ -187,8 +188,8 @@ func (r *JobRequest) Normalize() error {
 }
 
 // options materialises the exploration Options for a normalized explore
-// request. maxWorkers caps the per-job worker budget (0 = no cap).
-func (r *JobRequest) options(maxWorkers int) core.Options {
+// request.
+func (r *JobRequest) options() core.Options {
 	opts := core.DefaultOptions()
 	switch r.Mode {
 	case "brute":
@@ -207,17 +208,8 @@ func (r *JobRequest) options(maxWorkers int) core.Options {
 	if r.K > 0 {
 		opts.Emulator.K = r.K
 	}
-	if r.Workers > 0 {
-		opts.Workers = r.Workers
-	}
-	if maxWorkers > 0 && opts.Workers > maxWorkers {
-		opts.Workers = maxWorkers
-	}
 	if r.Representative != nil {
 		opts.DisableRepresentative = !*r.Representative
-	}
-	if r.Incremental != nil {
-		opts.DisableIncremental = !*r.Incremental
 	}
 	return opts
 }

@@ -59,9 +59,7 @@ func standaloneFingerprint(t *testing.T, req JobRequest) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := req.options(0)
-	opts.Workers = 1
-	rep, err := exps.RunOneContext(context.Background(), req.FS, prog, opts, req.h5Params(), exps.ConfigFor(req.FS))
+	rep, err := exps.RunOneContext(context.Background(), req.FS, prog, req.options(), req.h5Params(), exps.ConfigFor(req.FS))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,8 +41,8 @@ type SchedulerConfig struct {
 	// MaxTimeout caps every job's timeout, requested or defaulted
 	// (0 = no cap).
 	MaxTimeout time.Duration
-	// MaxJobWorkers caps Options.Workers per job so one job cannot claim
-	// every CPU (0 = no cap).
+	// MaxJobWorkers caps a fuzz job's concurrent campaign cells
+	// (JobRequest.Workers) so one job cannot claim every CPU (0 = no cap).
 	MaxJobWorkers int
 	// ProgressInterval is the per-job obs progress cadence feeding the
 	// events stream (default 250ms).
@@ -394,13 +394,9 @@ func (s *Scheduler) runJob(job *Job) {
 
 	report, fuzz, err := s.safeExecute(ctx, job, jr.run)
 
-	// Close flushes the final progress event, which also closes every
-	// events-stream subscriber. Detaching from the router then folds the
-	// job's final counters into the fleet totals and ends its per-job
-	// /metrics series (bounded label cardinality).
-	jr.run.Close()
-	s.router.Detach(job.ID)
-
+	// Store the terminal record before closing the run: Close ends every
+	// events-stream subscriber, and a client that reads the job once its
+	// stream ends must find it terminal, never still running.
 	end := time.Now().UTC()
 	perr := s.store.Update(job.ID, func(j *Job) {
 		j.FinishedAt = &end
@@ -422,6 +418,14 @@ func (s *Scheduler) runJob(job *Job) {
 		// costs restart durability.
 		s.obs.Counter("jobs/persist-errors").Inc()
 	}
+
+	// Close flushes the final progress event, which also closes every
+	// events-stream subscriber. Detaching from the router then folds the
+	// job's final counters into the fleet totals and ends its per-job
+	// /metrics series (bounded label cardinality).
+	jr.run.Close()
+	s.router.Detach(job.ID)
+
 	switch {
 	case err == nil:
 		s.ctrDone.Inc()
@@ -495,7 +499,7 @@ func (s *Scheduler) execute(ctx context.Context, job *Job, run *obs.Run) (*core.
 		if perr != nil {
 			return nil, nil, perr
 		}
-		opts := req.options(s.cfg.MaxJobWorkers)
+		opts := req.options()
 		opts.Obs = run
 		opts.Retry = s.cfg.Retry
 		opts.Faults = s.cfg.Faults

@@ -70,6 +70,7 @@ func TestSubmitValidation(t *testing.T) {
 		{PFSModel: "eventual"},
 		{K: -1},
 		{Workers: -2},
+		{Workers: 2}, // explore jobs explore serially; workers is fuzz-only
 		{TimeoutSeconds: -1},
 		{Kind: JobKindFuzz, Fuzz: &FuzzRequest{Backends: []string{"zfs"}}},
 	} {
@@ -174,7 +175,7 @@ func TestDrainDeadlineCancels(t *testing.T) {
 
 // TestJobTimeoutCancelsExploration bounds a real brute-force exploration
 // with a tiny per-job timeout and verifies the job lands in canceled
-// without leaking worker goroutines.
+// without leaking goroutines.
 func TestJobTimeoutCancelsExploration(t *testing.T) {
 	before := runtime.NumGoroutine()
 	st, _ := OpenStore("")
@@ -182,7 +183,7 @@ func TestJobTimeoutCancelsExploration(t *testing.T) {
 	s.Start()
 
 	j, err := s.Submit(JobRequest{
-		Mode: "brute", K: 2, Workers: 4,
+		Mode: "brute", K: 2,
 		TimeoutSeconds: 0.02,
 	})
 	if err != nil {
@@ -334,6 +335,34 @@ func TestStoreSkipsCorruptRecords(t *testing.T) {
 
 // TestHTTPEndToEnd drives the full API over HTTP: submit, list, get,
 // stream events, health, and the error statuses.
+// TestEventStreamEndImpliesTerminal: once a job's event stream ends, the
+// job record must already be terminal. For many jobs, the test follows the
+// stream the events endpoint serves (subscribed while the job is held
+// running) to its end and reads the record in the same instant, on a
+// persisting store whose fsynced writes would widen any window between the
+// stream closing and the terminal record landing.
+func TestEventStreamEndImpliesTerminal(t *testing.T) {
+	st, _ := OpenStore(t.TempDir())
+	s, gate := gatedScheduler(SchedulerConfig{MaxConcurrent: 1, QueueDepth: 4}, st)
+	defer s.Drain(context.Background())
+	for i := 0; i < 40; i++ {
+		j, err := s.Submit(JobRequest{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, st, j.ID, JobRunning)
+		_, live, unsubscribe := s.Events(j.ID).Subscribe()
+		gate <- struct{}{}
+		for range live {
+		}
+		rec, _ := st.Get(j.ID)
+		unsubscribe()
+		if !rec.State.Terminal() {
+			t.Fatalf("job %d: event stream ended while the record says %q", i, rec.State)
+		}
+	}
+}
+
 func TestHTTPEndToEnd(t *testing.T) {
 	st, _ := OpenStore("")
 	run := obs.NewRun()

@@ -351,8 +351,7 @@ func (w *FleetWorker) executeShard(ctx context.Context, t ShardTask) (report *co
 	if perr != nil {
 		return nil, perr
 	}
-	opts := req.options(0)
-	opts.Workers = 1 // shards explore serially; fleet parallelism is across processes
+	opts := req.options()
 	opts.Obs = w.cfg.Obs
 	opts.Retry = w.cfg.Retry
 	opts.Faults = w.cfg.Faults
@@ -468,7 +467,7 @@ func (s *Scheduler) executeFleet(ctx context.Context, job *Job, run *obs.Run, co
 		}
 	}
 
-	opts := req.options(s.cfg.MaxJobWorkers)
+	opts := req.options()
 	opts.Obs = run
 	opts.Retry = s.cfg.Retry
 	opts.Faults = s.cfg.Faults
