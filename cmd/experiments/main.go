@@ -135,13 +135,13 @@ func main() {
 					float64(res.BruteRestores)/float64(maxInt(res.OptRestores, 1)))
 			}
 		case "bench":
-			sinks, closers, err := parseSinks(sinkSpecs)
+			sinks, closeSinks, err := obs.OpenSinks(sinkSpecs)
 			if err != nil {
 				fatal(err)
 			}
 			sum, err := exps.BenchCells(h5p, *benchCells, sinks...)
-			for _, c := range closers {
-				_ = c()
+			if cerr := closeSinks(); cerr != nil {
+				fmt.Fprintln(os.Stderr, "experiments: warning: closing sinks:", cerr)
 			}
 			if err != nil {
 				fatal(err)
@@ -179,10 +179,13 @@ func main() {
 				}
 			}
 			var orun *obs.Run
+			var router *obs.Router
 			if *fuzzProgress {
 				orun = obs.NewRun()
-				orun.AddSink(&obs.HumanSink{W: os.Stderr})
-				orun.StartProgress(time.Second)
+				router = obs.NewRouter()
+				router.Attach("", orun)
+				router.AddSink(&obs.HumanSink{W: os.Stderr})
+				router.Start(time.Second)
 			}
 			res, err := fuzzcamp.Run(fuzzcamp.Config{
 				Backends:   backends,
@@ -198,9 +201,7 @@ func main() {
 
 				DisableRepresentative: opts.DisableRepresentative,
 			})
-			if orun != nil {
-				orun.Close()
-			}
+			router.Close()
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "experiments:", err)
 				os.Exit(1)
@@ -230,26 +231,6 @@ func maxInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// parseSinks resolves -sink specs into live sinks plus their closers. An
-// error from any spec closes the sinks already opened so a bad third spec
-// does not leak the first two files.
-func parseSinks(specs obs.SinkSpecList) ([]obs.MetricSink, []func() error, error) {
-	var sinks []obs.MetricSink
-	var closers []func() error
-	for _, spec := range specs {
-		sink, closer, err := obs.ParseSinkSpec(spec)
-		if err != nil {
-			for _, c := range closers {
-				_ = c()
-			}
-			return nil, nil, err
-		}
-		sinks = append(sinks, sink)
-		closers = append(closers, closer)
-	}
-	return sinks, closers, nil
 }
 
 // parseServerCounts parses fig11's comma-separated server counts. Every

@@ -60,10 +60,10 @@ func main() {
 		faultRate    = flag.Float64("fault-rate", 0, "inject faults into the engine's own I/O with this probability in [0,1] (0 = off)")
 
 		metricsPath  = flag.String("metrics", "", "write the run's observability summary (phase timings, counters, gauges) as JSON to this file")
-		progress     = flag.Bool("progress", false, "print a one-line progress ticker to stderr every second")
-		progJSONL    = flag.String("progress-jsonl", "", "write machine-readable progress events (one JSON object per line) to this file")
+		progress     = flag.Bool("progress", false, "print a one-line progress ticker to stderr every -sink-interval")
+		progJSONL    = flag.String("progress-jsonl", "", "write machine-readable progress events (one JSON object per line) to this file every -sink-interval")
 		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof, expvar, /debug/obs and /metrics on this address (e.g. localhost:6060)")
-		sinkInterval = flag.Duration("sink-interval", time.Second, "telemetry sampling interval for -sink fan-out")
+		sinkInterval = flag.Duration("sink-interval", time.Second, "telemetry sampling interval for -sink, -progress and -progress-jsonl")
 	)
 	var sinkSpecs obs.SinkSpecList
 	flag.Var(&sinkSpecs, "sink", "attach a telemetry sink (repeatable): stdout, stderr, jsonl:PATH, push:URL")
@@ -95,7 +95,8 @@ func main() {
 	if *faultRate < 0 || *faultRate > 1 {
 		fatalIf(fmt.Errorf("-fault-rate must be in [0,1], got %g", *faultRate))
 	}
-	if len(sinkSpecs) > 0 && *sinkInterval <= 0 {
+	telemetry := len(sinkSpecs) > 0 || *progress || *progJSONL != ""
+	if telemetry && *sinkInterval <= 0 {
 		fatalIf(fmt.Errorf("-sink-interval must be > 0 when sinks are attached, got %v", *sinkInterval))
 	}
 	repSet := false
@@ -178,44 +179,33 @@ func main() {
 	// Observability: one run per invocation, attached only when requested
 	// (the nil default keeps the engine's hot paths free of metric work).
 	var run *obs.Run
-	if *metricsPath != "" || *progress || *progJSONL != "" || *pprofAddr != "" || len(sinkSpecs) > 0 {
+	if *metricsPath != "" || telemetry || *pprofAddr != "" {
 		run = obs.NewRun()
 		opts.Obs = run
 	}
-	// Telemetry pipeline: route the run's samples to the requested sinks
-	// on the sampling interval (fleet series only — a CLI run is one job).
-	// Closed explicitly before reporting, because the bugs-found exit path
-	// skips deferred calls.
-	closeTelemetry := func() {}
-	if len(sinkSpecs) > 0 {
-		router := obs.NewRouter()
+	// Telemetry: one router samples the run on the interval and feeds the
+	// progress ticker, the progress-event file and every -sink. Closed
+	// explicitly before reporting, because the bugs-found exit path skips
+	// deferred calls.
+	var router *obs.Router
+	closeSinks := func() error { return nil }
+	if telemetry {
+		router = obs.NewRouter()
 		router.Attach("", run)
-		var closers []func() error
-		for _, spec := range sinkSpecs {
-			sink, closer, err := obs.ParseSinkSpec(spec)
+		if *progress {
+			router.AddSink(&obs.HumanSink{W: os.Stderr})
+		}
+		if *progJSONL != "" {
+			f, err := os.Create(*progJSONL)
 			fatalIf(err)
-			router.AddSink(sink)
-			closers = append(closers, closer)
+			defer f.Close()
+			router.AddSink(obs.NewJSONLSink(f))
 		}
-		router.Start(*sinkInterval)
-		closeTelemetry = func() {
-			router.Close() // final sample + bounded sink drain
-			for _, c := range closers {
-				_ = c()
-			}
-		}
-	}
-	if *progress {
-		run.AddSink(&obs.HumanSink{W: os.Stderr})
-	}
-	if *progJSONL != "" {
-		f, err := os.Create(*progJSONL)
+		var sinks []obs.Sink
+		sinks, closeSinks, err = obs.OpenSinks(sinkSpecs)
 		fatalIf(err)
-		defer f.Close()
-		run.AddSink(obs.NewJSONLSink(f))
-	}
-	if *progress || *progJSONL != "" {
-		run.StartProgress(time.Second)
+		router.AddSink(sinks...)
+		router.Start(*sinkInterval)
 	}
 	if *pprofAddr != "" {
 		addr, shutdown, err := obs.Serve(*pprofAddr, run)
@@ -251,8 +241,10 @@ func main() {
 	}
 
 	rep, err := exps.RunOne(*fsName, prog, opts, h5p, conf)
-	run.Close() // flush the final progress event before reporting
-	closeTelemetry()
+	router.Close() // final batch to every sink, bounded drain, before reporting
+	if cerr := closeSinks(); cerr != nil {
+		fmt.Fprintln(os.Stderr, "paracrash: warning: closing sinks:", cerr)
+	}
 	fatalIf(err)
 	if ckpt != nil {
 		fmt.Fprintf(os.Stderr, "paracrash: checkpoint %s: resumed %d verdicts", ckpt.Path(), ckpt.Resumed())

@@ -195,15 +195,13 @@ func main() {
 	// starts the sampling loop (the pull-style /metrics endpoint needs
 	// neither).
 	router := sched.Router()
-	for _, spec := range sinkSpecs {
-		sink, closer, err := obs.ParseSinkSpec(spec)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		router.AddSink(sink)
-		defer func() { _ = closer() }()
+	sinks, closeSinks, err := obs.OpenSinks(sinkSpecs)
+	if err != nil {
+		fatalf("%v", err)
 	}
-	if len(sinkSpecs) > 0 {
+	defer func() { _ = closeSinks() }() // best-effort telemetry files; the daemon is exiting
+	router.AddSink(sinks...)
+	if len(sinks) > 0 {
 		router.Start(*sinkInterval)
 	}
 	defer router.Close()
@@ -269,16 +267,14 @@ func runWorker(dir, id string, leaseTTL, heartbeat, poll time.Duration, sinkSpec
 		fatalf("%v", err)
 	}
 	if len(sinkSpecs) > 0 {
+		sinks, closeSinks, err := obs.OpenSinks(sinkSpecs)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		defer func() { _ = closeSinks() }() // best-effort telemetry files; the worker is exiting
 		router := obs.NewRouter()
 		router.Attach("", run)
-		for _, spec := range sinkSpecs {
-			sink, closer, err := obs.ParseSinkSpec(spec)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			router.AddSink(sink)
-			defer func() { _ = closer() }()
-		}
+		router.AddSink(sinks...)
 		router.Start(sinkInterval)
 		defer router.Close()
 	}

@@ -124,7 +124,7 @@ const benchReps = 5
 // per-cell phase timings and counters are independent; the obs summary
 // kept is the fastest repetition's. Optional sinks receive every cell's
 // metrics through the telemetry pipeline (see BenchCells).
-func Bench(h5p workloads.H5Params, sinks ...obs.MetricSink) *BenchSummary {
+func Bench(h5p workloads.H5Params, sinks ...obs.Sink) *BenchSummary {
 	sum, _ := BenchCells(h5p, "all", sinks...)
 	return sum
 }
@@ -135,7 +135,7 @@ func Bench(h5p workloads.H5Params, sinks ...obs.MetricSink) *BenchSummary {
 // given sinks — the cell's counters, gauges and timers under a
 // program/fs/mode job label, plus the derived bench/states-per-sec and
 // bench/restores-per-state gauges the regression gate budgets.
-func BenchCells(h5p workloads.H5Params, subset string, sinks ...obs.MetricSink) (*BenchSummary, error) {
+func BenchCells(h5p workloads.H5Params, subset string, sinks ...obs.Sink) (*BenchSummary, error) {
 	var cells []benchCell
 	switch subset {
 	case "all":
@@ -202,7 +202,7 @@ func BenchCells(h5p workloads.H5Params, subset string, sinks ...obs.MetricSink) 
 // router to the attached sinks: the best repetition's collector under the
 // cell's job label, plus the derived throughput gauges the benchgate
 // budgets. A cell with no sinks costs nothing.
-func emitBenchCell(rec BenchRecord, run *obs.Run, sinks []obs.MetricSink) {
+func emitBenchCell(rec BenchRecord, run *obs.Run, sinks []obs.Sink) {
 	if len(sinks) == 0 {
 		return
 	}
@@ -216,9 +216,7 @@ func emitBenchCell(rec BenchRecord, run *obs.Run, sinks []obs.MetricSink) {
 			obs.Metric{Name: "bench/seconds", Kind: obs.KindGauge, Value: rec.Seconds},
 		)
 	}))
-	for _, s := range sinks {
-		router.AddSink(s)
-	}
+	router.AddSink(sinks...)
 	router.Publish()
 	router.Close()
 }

@@ -13,7 +13,7 @@ import (
 // wedgedSink blocks every write until released.
 type wedgedSink struct{ release chan struct{} }
 
-func (s *wedgedSink) WriteMetrics([]obs.Metric) error {
+func (s *wedgedSink) WriteBatch(obs.Batch) error {
 	<-s.release
 	return nil
 }
@@ -50,7 +50,6 @@ func TestChaosExplorerUnaffectedByWedgedSink(t *testing.T) {
 	start := time.Now()
 	chaotic, err := exps.RunOne("beegfs", prog, opts, h5p, exps.ConfigFor("beegfs"))
 	elapsed := time.Since(start)
-	run.Close()
 	// Overflow the wedged sink's bounded queue deterministically: the run
 	// itself may finish in a handful of sampling ticks.
 	for i := 0; i < 16; i++ {

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"errors"
+	"io"
 	"testing"
 	"time"
 
@@ -12,7 +13,7 @@ import (
 // sink the chaos gate models.
 type blockingSink struct{ release chan struct{} }
 
-func (s *blockingSink) WriteMetrics([]Metric) error {
+func (s *blockingSink) WriteBatch(Batch) error {
 	<-s.release
 	return nil
 }
@@ -20,12 +21,24 @@ func (s *blockingSink) WriteMetrics([]Metric) error {
 // erroringSink fails every write.
 type erroringSink struct{}
 
-func (erroringSink) WriteMetrics([]Metric) error { return errors.New("sink down") }
+func (erroringSink) WriteBatch(Batch) error { return errors.New("sink down") }
 
 // panickingSink panics on every write.
 type panickingSink struct{}
 
-func (panickingSink) WriteMetrics([]Metric) error { panic("sink exploded") }
+func (panickingSink) WriteBatch(Batch) error { panic("sink exploded") }
+
+// laggingSink records every batch into a ring after a fixed delay — a
+// slow but healthy sink.
+type laggingSink struct {
+	ring  *RingSink
+	delay time.Duration
+}
+
+func (s *laggingSink) WriteBatch(b Batch) error {
+	time.Sleep(s.delay)
+	return s.ring.WriteBatch(b)
+}
 
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -145,5 +158,66 @@ func TestChaosInjectedSinkFaults(t *testing.T) {
 	}
 	if got := rt.Errors(); got != 2*faultsPerSink {
 		t.Fatalf("Errors = %d, want %d", got, 2*faultsPerSink)
+	}
+}
+
+// TestChaosLaggingSinkGetsFinalBatch pins "the final batch always
+// flushes": a sink too slow for the publish rate loses intermediate
+// batches, but Close still hands it the final one, carrying the final
+// counter value.
+func TestChaosLaggingSinkGetsFinalBatch(t *testing.T) {
+	run := NewRun()
+	c := run.Counter("states/checked")
+	rt := NewRouter()
+	rt.Attach("", run)
+	lag := &laggingSink{ring: NewRingSink(1), delay: 5 * time.Millisecond}
+	rt.AddSink(lag)
+	for i := 0; i < 100; i++ {
+		c.Add(11)
+		rt.Publish()
+	}
+	rt.Close()
+
+	if rt.Dropped() == 0 {
+		t.Fatal("no batch dropped: the sink never lagged, so the test proves nothing")
+	}
+	last, ok := lag.ring.LastBatch()
+	if !ok || !last.Final {
+		t.Fatalf("lagging sink's last batch = %+v (ok=%v), want the final batch", last, ok)
+	}
+	if m, ok := lag.ring.Find("states/checked", ""); !ok || m.Value != 1100 {
+		t.Fatalf("final batch states/checked = %v (ok=%v), want 1100", m.Value, ok)
+	}
+}
+
+// TestChaosWedgedProgressSinkBoundedClose pins that a progress writer
+// that stops draining (a stalled stderr) cannot hold shutdown: Close
+// returns within DrainTimeout.
+func TestChaosWedgedProgressSinkBoundedClose(t *testing.T) {
+	pr, pw := io.Pipe() // nothing reads: every write blocks
+	defer pr.Close()    // unblocks the abandoned writer at test end
+	run := NewRun()
+	run.Counter("states/checked").Inc()
+	rt := NewRouter()
+	rt.DrainTimeout = 100 * time.Millisecond
+	rt.Attach("", run)
+	rt.AddSink(&HumanSink{W: pw})
+	rt.Start(time.Millisecond)
+	time.Sleep(20 * time.Millisecond) // the sink wedges on its first line
+
+	start := time.Now()
+	done := make(chan struct{})
+	go func() {
+		rt.Close()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(3 * time.Second):
+		t.Fatal("Close still blocked after 3s on a wedged progress writer")
+	}
+	// The slack over DrainTimeout absorbs scheduling noise only.
+	if elapsed := time.Since(start); elapsed > rt.DrainTimeout+400*time.Millisecond {
+		t.Fatalf("Close took %v, want about DrainTimeout (%v)", elapsed, rt.DrainTimeout)
 	}
 }

@@ -7,19 +7,24 @@ import "time"
 // downstream collectors).
 type MetricKind uint8
 
-// Metric kinds. Counters are monotonically increasing across a collector's
-// lifetime (and across the fleet: a detached collector's final counter
-// values fold into the fleet totals); gauges are instantaneous.
+// Metric kinds. Counters and timers are monotonically increasing across a
+// collector's lifetime (and across the fleet: a detached collector's final
+// counter and timer values fold into the fleet totals); gauges are
+// instantaneous.
 const (
-	// KindCounter marks a monotonically increasing sample (counter values
-	// and timer totals).
+	// KindCounter marks a monotonically increasing sample.
 	KindCounter MetricKind = iota
 	// KindGauge marks an instantaneous sample (queue depths, high-water
 	// marks).
 	KindGauge
+	// KindTimer marks a timer total (<name>/seconds or <name>/count). It
+	// is a counter to every output; the separate kind only lets the
+	// progress view (NewEvent) leave timers out.
+	KindTimer
 )
 
-// String returns the Prometheus type name of the kind.
+// String returns the Prometheus type name of the kind: "gauge" for
+// gauges, "counter" for counters and timers.
 func (k MetricKind) String() string {
 	if k == KindGauge {
 		return "gauge"
@@ -36,7 +41,7 @@ type Metric struct {
 	// "phase/explore/seconds"). Sinks that need a restricted alphabet
 	// sanitize it themselves (see SanitizeMetricName).
 	Name string
-	// Kind is the sample semantics: counter or gauge.
+	// Kind is the sample semantics: counter, gauge or timer.
 	Kind MetricKind
 	// Job is the per-job label ("" for fleet/process-level series).
 	Job string
@@ -63,7 +68,7 @@ type CollectorFunc func(dst []Metric) []Metric
 func (f CollectorFunc) CollectMetrics(dst []Metric) []Metric { return f(dst) }
 
 // CollectMetrics implements Collector on a Run: counters, then gauges,
-// then timers (each timer as two counter samples, <name>/seconds and
+// then timers (each timer as two KindTimer samples, <name>/seconds and
 // <name>/count), all in registration order. A nil run collects nothing.
 func (r *Run) CollectMetrics(dst []Metric) []Metric {
 	if r == nil {
@@ -80,8 +85,8 @@ func (r *Run) CollectMetrics(dst []Metric) []Metric {
 	for _, n := range r.timerOrder {
 		t := r.timers[n]
 		dst = append(dst,
-			Metric{Name: n + "/seconds", Kind: KindCounter, Value: time.Duration(t.ns.Load()).Seconds()},
-			Metric{Name: n + "/count", Kind: KindCounter, Value: float64(t.n.Load())},
+			Metric{Name: n + "/seconds", Kind: KindTimer, Value: time.Duration(t.ns.Load()).Seconds()},
+			Metric{Name: n + "/count", Kind: KindTimer, Value: float64(t.n.Load())},
 		)
 	}
 	return dst

@@ -1,13 +1,14 @@
 // Package obs is the telemetry pipeline of ParaCrash, structured as
 // collectors → router → sinks: collectors (phase timers, atomic counters
-// and gauges on a Run; anything implementing Collector) feed a metric
-// Router that relabels, aggregates per-job series into fleet rollups, and
-// fans sampled batches out to pluggable MetricSinks (stdout text, JSONL
-// file, HTTP push, a Prometheus-text /metrics handler, and an in-memory
-// RingSink tests assert against). The original progress-event stream
-// (Event, Sink, StreamSink) and the one-shot JSON Summary ride unchanged
-// beside the pipeline, so the -metrics and -progress-jsonl outputs stay
-// byte-stable; an opt-in pprof/expvar HTTP endpoint completes the layer.
+// and gauges on a Run; anything implementing Collector) feed a Router, the
+// one sampler, which aggregates per-job series into fleet rollups and fans
+// each sampled Batch out to pluggable Sinks behind bounded queues. Metric
+// sinks render the samples (stdout text, JSONL file, HTTP push, and an
+// in-memory RingSink tests assert against); progress sinks (HumanSink,
+// JSONLSink, StreamSink) render the Event view of each batch (NewEvent).
+// The pull-style /metrics handler renders a synchronous sample, the
+// one-shot JSON Summary backs -metrics, and an opt-in pprof/expvar HTTP
+// endpoint completes the layer.
 //
 // The package is built around one invariant: observability is passive. A
 // Run only ever records what the exploration engine did; it never feeds
@@ -67,8 +68,7 @@ var nopStop = func() {}
 // obtained from Run.Counter and are safe for concurrent use; a nil
 // *Counter is a no-op.
 type Counter struct {
-	name string
-	v    atomic.Int64
+	v atomic.Int64
 }
 
 // Add increments the counter by n.
@@ -89,19 +89,10 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Name returns the counter's registered name.
-func (c *Counter) Name() string {
-	if c == nil {
-		return ""
-	}
-	return c.name
-}
-
 // Gauge is an instantaneous atomic value (queue depths, high-water marks).
 // A nil *Gauge is a no-op.
 type Gauge struct {
-	name string
-	v    atomic.Int64
+	v atomic.Int64
 }
 
 // Set stores v.
@@ -155,16 +146,12 @@ type Run struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	timers   map[string]*timer
-	// registration order, for stable summaries and progress lines
+	// registration order, for stable summaries and samples
 	counterOrder []string
 	gaugeOrder   []string
 	timerOrder   []string
 
 	curPhase atomic.Value // string
-
-	progress *progressLoop
-	sinkMu   sync.Mutex
-	sinks    []Sink
 }
 
 // NewRun returns an active metrics collector anchored at the current time.
@@ -189,7 +176,7 @@ func (r *Run) Counter(name string) *Counter {
 	defer r.mu.Unlock()
 	c, ok := r.counters[name]
 	if !ok {
-		c = &Counter{name: name}
+		c = &Counter{}
 		r.counters[name] = c
 		r.counterOrder = append(r.counterOrder, name)
 	}
@@ -206,7 +193,7 @@ func (r *Run) Gauge(name string) *Gauge {
 	defer r.mu.Unlock()
 	g, ok := r.gauges[name]
 	if !ok {
-		g = &Gauge{name: name}
+		g = &Gauge{}
 		r.gauges[name] = g
 		r.gaugeOrder = append(r.gaugeOrder, name)
 	}
@@ -319,28 +306,4 @@ func (r *Run) Summary() *Summary {
 // files.
 func (r *Run) SummaryJSON() ([]byte, error) {
 	return json.MarshalIndent(r.Summary(), "", "  ")
-}
-
-// snapshotCounters returns name->value for all registered counters in
-// registration order (names slice aliases internal state; copy under lock).
-func (r *Run) snapshotCounters() ([]string, map[string]int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := append([]string(nil), r.counterOrder...)
-	vals := make(map[string]int64, len(names))
-	for _, n := range names {
-		vals[n] = r.counters[n].v.Load()
-	}
-	return names, vals
-}
-
-func (r *Run) snapshotGauges() ([]string, map[string]int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := append([]string(nil), r.gaugeOrder...)
-	vals := make(map[string]int64, len(names))
-	for _, n := range names {
-		vals[n] = r.gauges[n].v.Load()
-	}
-	return names, vals
 }

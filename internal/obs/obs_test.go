@@ -75,7 +75,7 @@ func TestNilRunIsNoop(t *testing.T) {
 	c := r.Counter("x")
 	c.Add(1)
 	c.Inc()
-	if c.Value() != 0 || c.Name() != "" {
+	if c.Value() != 0 {
 		t.Fatal("nil counter must stay zero")
 	}
 	g := r.Gauge("y")
@@ -90,9 +90,6 @@ func TestNilRunIsNoop(t *testing.T) {
 	if r.CurrentPhase() != "" || r.Elapsed() != 0 {
 		t.Fatal("nil run must report empty state")
 	}
-	r.AddSink(&HumanSink{W: io.Discard})
-	r.StartProgress(time.Millisecond)
-	r.Close()
 	s := r.Summary()
 	if len(s.Counters) != 0 || len(s.Timers) != 0 {
 		t.Fatalf("nil summary not empty: %+v", s)
@@ -159,30 +156,35 @@ func TestConcurrentTimersAccumulate(t *testing.T) {
 	t.Fatal("pfs/recover timer missing")
 }
 
+// TestProgressEventsAndSinks drives the progress sinks from a router's
+// sampling loop: every sink sees a stream of events ending in the final
+// one, which carries the final counters, gauges and phase, and later
+// events carry rates.
 func TestProgressEventsAndSinks(t *testing.T) {
 	r := NewRun()
-	ring := NewRingSink(256)
 	var human, jsonl bytes.Buffer
-	r.AddSink(ring)
-	r.AddSink(&HumanSink{W: &human})
-	r.AddSink(NewJSONLSink(&jsonl))
+	stream := NewStreamSink(256)
+	rt := NewRouter()
+	rt.Attach("", r)
+	rt.AddSink(stream, &HumanSink{W: &human}, NewJSONLSink(&jsonl))
 
 	c := r.Counter("states/checked")
 	r.Gauge("worker/00/pending").Set(12)
 	r.Phase(PhaseExplore)
-	r.StartProgress(5 * time.Millisecond)
+	rt.Start(5 * time.Millisecond)
 	for i := 0; i < 50; i++ {
 		c.Add(10)
 		time.Sleep(time.Millisecond)
 	}
-	r.Close()
+	rt.Close()
 
-	evs := ring.Events()
+	evs, _, cancel := stream.Subscribe()
+	defer cancel()
 	if len(evs) < 2 {
 		t.Fatalf("got %d events, want >= 2", len(evs))
 	}
-	last, ok := ring.LastEvent()
-	if !ok || !last.Final {
+	last := evs[len(evs)-1]
+	if !last.Final {
 		t.Fatal("last event must be final")
 	}
 	if last.Counters["states/checked"] != 500 {
@@ -194,25 +196,28 @@ func TestProgressEventsAndSinks(t *testing.T) {
 	if last.Gauges["worker/00/pending"] != 12 {
 		t.Fatalf("gauge missing from event: %+v", last.Gauges)
 	}
+	if _, ok := last.Counters["phase/explore/count"]; ok {
+		t.Fatalf("timer sample leaked into the event: %+v", last.Counters)
+	}
 	// Second and later events carry rates.
 	if evs[1].Rates == nil {
 		t.Fatal("second event must carry rates")
 	}
-	if !strings.Contains(human.String(), "states/checked=") {
-		t.Fatalf("human ticker line missing counter: %q", human.String())
+	if !strings.Contains(human.String(), "states/checked=") || !strings.Contains(human.String(), "(final)") {
+		t.Fatalf("human ticker lines missing counter or final marker: %q", human.String())
 	}
-	// Every JSONL line must parse back to an Event.
+	// Every JSONL line parses back to an Event; the last is final.
 	dec := json.NewDecoder(&jsonl)
+	var ev Event
 	n := 0
 	for dec.More() {
-		var ev Event
 		if err := dec.Decode(&ev); err != nil {
 			t.Fatalf("JSONL line %d: %v", n, err)
 		}
 		n++
 	}
-	if n != len(evs) {
-		t.Fatalf("JSONL lines = %d, ring sink events = %d", n, len(evs))
+	if n == 0 || !ev.Final {
+		t.Fatalf("JSONL stream = %d lines, last final=%v", n, ev.Final)
 	}
 }
 

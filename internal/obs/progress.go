@@ -7,11 +7,11 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 )
 
-// Event is one progress snapshot, emitted to every attached sink on each
-// ticker interval and once more (Final) when the loop stops.
+// Event is one progress snapshot: the view of a router batch that the
+// progress sinks (HumanSink, JSONLSink, StreamSink) render. NewEvent is
+// its only builder.
 type Event struct {
 	ElapsedSeconds float64          `json:"elapsed_seconds"`
 	Phase          string           `json:"phase,omitempty"`
@@ -23,153 +23,120 @@ type Event struct {
 	Final bool               `json:"final,omitempty"`
 }
 
-// Sink consumes progress events. Emit is called from the progress
-// goroutine; implementations serialise their own output.
-type Sink interface {
-	Emit(Event)
-}
-
-// AddSink attaches a sink to the run's progress stream. No-op on nil runs.
-func (r *Run) AddSink(s Sink) {
-	if r == nil || s == nil {
-		return
-	}
-	r.sinkMu.Lock()
-	r.sinks = append(r.sinks, s)
-	r.sinkMu.Unlock()
-}
-
-type progressLoop struct {
-	stop chan struct{}
-	done chan struct{}
-}
-
-// StartProgress begins emitting events to the attached sinks every
-// interval. Idempotent; no-op on nil runs or non-positive intervals.
-func (r *Run) StartProgress(interval time.Duration) {
-	if r == nil || interval <= 0 {
-		return
-	}
-	r.mu.Lock()
-	if r.progress != nil {
-		r.mu.Unlock()
-		return
-	}
-	p := &progressLoop{stop: make(chan struct{}), done: make(chan struct{})}
-	r.progress = p
-	r.mu.Unlock()
-
-	go func() {
-		defer close(p.done)
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		var prev map[string]int64
-		var prevAt time.Time
-		for {
-			select {
-			case <-tick.C:
-				prev, prevAt = r.emitEvent(prev, prevAt, false)
-			case <-p.stop:
-				r.emitEvent(prev, prevAt, true)
-				return
-			}
-		}
-	}()
-}
-
-// Close stops the progress loop (emitting one final event) and waits for
-// it to drain. Safe on nil runs and runs without progress.
-func (r *Run) Close() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	p := r.progress
-	r.progress = nil
-	r.mu.Unlock()
-	if p == nil {
-		return
-	}
-	close(p.stop)
-	<-p.done
-}
-
-// emitEvent builds one Event from the current snapshot and fans it out.
-func (r *Run) emitEvent(prev map[string]int64, prevAt time.Time, final bool) (map[string]int64, time.Time) {
-	now := time.Now()
-	_, counters := r.snapshotCounters()
-	_, gauges := r.snapshotGauges()
+// NewEvent builds the progress view of cur: its elapsed time, phase and
+// Final flag, and its fleet ("") counters and gauges — not timer samples,
+// per-job series or the router's own obs/router/* series. Counters carry
+// per-second rates against prev, the batch the same sink saw before (nil
+// for the first, which has no rates).
+func NewEvent(prev *Batch, cur Batch) Event {
 	ev := Event{
-		ElapsedSeconds: time.Since(r.start).Seconds(),
-		Phase:          r.CurrentPhase(),
-		Counters:       counters,
-		Gauges:         gauges,
-		Final:          final,
+		ElapsedSeconds: cur.Elapsed,
+		Phase:          cur.Phase,
+		Counters:       map[string]int64{},
+		Gauges:         map[string]int64{},
+		Final:          cur.Final,
 	}
-	if prev != nil {
-		dt := now.Sub(prevAt).Seconds()
-		if dt > 0 {
-			ev.Rates = make(map[string]float64, len(counters))
-			for name, v := range counters {
-				ev.Rates[name] = float64(v-prev[name]) / dt
-			}
+	for _, m := range cur.Metrics {
+		if !progressSeries(m) {
+			continue
+		}
+		if m.Kind == KindGauge {
+			ev.Gauges[m.Name] = int64(m.Value)
+		} else {
+			ev.Counters[m.Name] = int64(m.Value)
 		}
 	}
-	r.sinkMu.Lock()
-	sinks := append([]Sink(nil), r.sinks...)
-	r.sinkMu.Unlock()
-	for _, s := range sinks {
-		s.Emit(ev)
+	if prev == nil {
+		return ev
 	}
-	return counters, now
+	dt := cur.At.Sub(prev.At).Seconds()
+	if dt <= 0 {
+		return ev
+	}
+	before := map[string]int64{}
+	for _, m := range prev.Metrics {
+		if progressSeries(m) && m.Kind == KindCounter {
+			before[m.Name] = int64(m.Value)
+		}
+	}
+	ev.Rates = make(map[string]float64, len(ev.Counters))
+	for name, v := range ev.Counters {
+		ev.Rates[name] = float64(v-before[name]) / dt
+	}
+	return ev
 }
 
-// HumanSink renders each event as one compact ticker line, the CLI's
-// -progress output.
+// progressSeries reports whether a sample belongs in a progress event: a
+// fleet counter or gauge that is not one of the router's self-series.
+func progressSeries(m Metric) bool {
+	return m.Job == "" && m.Kind != KindTimer && !strings.HasPrefix(m.Name, "obs/router/")
+}
+
+// eventView turns the batches one sink receives into Events, remembering
+// the previous batch for rates. Callers serialise access.
+type eventView struct{ prev *Batch }
+
+// next returns the event of b. The final batch releases the remembered
+// one: nothing follows it.
+func (v *eventView) next(b Batch) Event {
+	ev := NewEvent(v.prev, b)
+	v.prev = &b
+	if b.Final {
+		v.prev = nil
+	}
+	return ev
+}
+
+// HumanSink renders each batch's event as one compact ticker line, the
+// CLI's -progress output.
 type HumanSink struct {
-	W  io.Writer
-	mu sync.Mutex
+	W    io.Writer
+	mu   sync.Mutex
+	view eventView
 }
 
-// Emit implements Sink.
-func (h *HumanSink) Emit(ev Event) {
+// WriteBatch implements Sink.
+func (h *HumanSink) WriteBatch(b Batch) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	var b strings.Builder
-	fmt.Fprintf(&b, "[%7.1fs]", ev.ElapsedSeconds)
+	ev := h.view.next(b)
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "[%7.1fs]", ev.ElapsedSeconds)
 	if ev.Phase != "" {
-		fmt.Fprintf(&b, " %-11s", ev.Phase)
+		fmt.Fprintf(&sb, " %-11s", ev.Phase)
 	}
-	names := make([]string, 0, len(ev.Counters))
-	for n := range ev.Counters {
+	for _, n := range sortedKeys(ev.Counters) {
+		fmt.Fprintf(&sb, " %s=%d", n, ev.Counters[n])
+		if r, ok := ev.Rates[n]; ok && r != 0 {
+			fmt.Fprintf(&sb, "(+%.0f/s)", r)
+		}
+	}
+	for _, n := range sortedKeys(ev.Gauges) {
+		fmt.Fprintf(&sb, " %s=%d", n, ev.Gauges[n])
+	}
+	if ev.Final {
+		sb.WriteString(" (final)")
+	}
+	_, err := fmt.Fprintln(h.W, sb.String())
+	return err
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys(m map[string]int64) []string {
+	names := make([]string, 0, len(m))
+	for n := range m {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(&b, " %s=%d", n, ev.Counters[n])
-		if r, ok := ev.Rates[n]; ok && r != 0 {
-			fmt.Fprintf(&b, "(+%.0f/s)", r)
-		}
-	}
-	gnames := make([]string, 0, len(ev.Gauges))
-	for n := range ev.Gauges {
-		gnames = append(gnames, n)
-	}
-	sort.Strings(gnames)
-	for _, n := range gnames {
-		fmt.Fprintf(&b, " %s=%d", n, ev.Gauges[n])
-	}
-	if ev.Final {
-		b.WriteString(" (final)")
-	}
-	fmt.Fprintln(h.W, b.String())
+	return names
 }
 
-// JSONLSink writes each event as one JSON line, the machine-readable
-// progress stream.
+// JSONLSink writes each batch's event as one JSON line, the
+// machine-readable progress stream (-progress-jsonl).
 type JSONLSink struct {
-	mu  sync.Mutex
-	enc *json.Encoder
+	mu   sync.Mutex
+	enc  *json.Encoder
+	view eventView
 }
 
 // NewJSONLSink returns a sink encoding events onto w, one object per line.
@@ -177,9 +144,9 @@ func NewJSONLSink(w io.Writer) *JSONLSink {
 	return &JSONLSink{enc: json.NewEncoder(w)}
 }
 
-// Emit implements Sink.
-func (s *JSONLSink) Emit(ev Event) {
+// WriteBatch implements Sink.
+func (s *JSONLSink) WriteBatch(b Batch) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_ = s.enc.Encode(ev)
+	return s.enc.Encode(s.view.next(b))
 }

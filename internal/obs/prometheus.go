@@ -39,10 +39,10 @@ func SanitizeMetricName(name string) string {
 
 // promFamily returns the full exposition family name of a sample:
 // namespace + sanitized registry name, with the conventional _total suffix
-// on counters.
+// on counters and timers.
 func promFamily(m Metric) string {
 	name := promNamespace + SanitizeMetricName(m.Name)
-	if m.Kind == KindCounter && !strings.HasSuffix(name, "_total") {
+	if m.Kind != KindGauge && !strings.HasSuffix(name, "_total") {
 		name += "_total"
 	}
 	return name

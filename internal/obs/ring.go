@@ -3,19 +3,17 @@ package obs
 import "sync"
 
 // RingSink is the bounded in-memory sink tests attach and assert against:
-// it records progress Events (implementing Sink) and metric batches
-// (implementing MetricSink), keeping the most recent Capacity of each, and
-// exposes snapshot accessors — deterministic assertions with no temp
-// files, no scraping, no goroutines.
+// it keeps the most recent Capacity batches and exposes snapshot accessors
+// — deterministic assertions with no temp files, no scraping, no
+// goroutines.
 type RingSink struct {
 	mu      sync.Mutex
 	cap     int
-	events  []Event
-	batches [][]Metric
+	batches []Batch
 }
 
-// NewRingSink returns a ring retaining up to capacity events and capacity
-// metric batches (a non-positive capacity keeps one of each).
+// NewRingSink returns a ring retaining up to capacity batches (a
+// non-positive capacity keeps one).
 func NewRingSink(capacity int) *RingSink {
 	if capacity < 1 {
 		capacity = 1
@@ -23,22 +21,12 @@ func NewRingSink(capacity int) *RingSink {
 	return &RingSink{cap: capacity}
 }
 
-// Emit implements the progress-event Sink.
-func (s *RingSink) Emit(ev Event) {
+// WriteBatch implements Sink. The samples are copied, so the ring stays
+// valid however the caller reuses its buffers.
+func (s *RingSink) WriteBatch(b Batch) error {
+	b.Metrics = append([]Metric(nil), b.Metrics...)
 	s.mu.Lock()
-	s.events = append(s.events, ev)
-	if len(s.events) > s.cap {
-		s.events = s.events[len(s.events)-s.cap:]
-	}
-	s.mu.Unlock()
-}
-
-// WriteMetrics implements MetricSink. The batch is copied, so the ring
-// stays valid however the router reuses its buffers.
-func (s *RingSink) WriteMetrics(batch []Metric) error {
-	cp := append([]Metric(nil), batch...)
-	s.mu.Lock()
-	s.batches = append(s.batches, cp)
+	s.batches = append(s.batches, b)
 	if len(s.batches) > s.cap {
 		s.batches = s.batches[len(s.batches)-s.cap:]
 	}
@@ -46,46 +34,28 @@ func (s *RingSink) WriteMetrics(batch []Metric) error {
 	return nil
 }
 
-// Events returns a copy of the retained progress events, oldest first.
-func (s *RingSink) Events() []Event {
+// Batches returns a copy of the retained batches, oldest first.
+func (s *RingSink) Batches() []Batch {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]Event(nil), s.events...)
+	return append([]Batch(nil), s.batches...)
 }
 
-// LastEvent returns the most recent event (false when none arrived).
-func (s *RingSink) LastEvent() (Event, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.events) == 0 {
-		return Event{}, false
-	}
-	return s.events[len(s.events)-1], true
-}
-
-// Batches returns a copy of the retained metric batches, oldest first.
-func (s *RingSink) Batches() [][]Metric {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([][]Metric, len(s.batches))
-	copy(out, s.batches)
-	return out
-}
-
-// LastBatch returns the most recent metric batch (nil when none arrived).
-func (s *RingSink) LastBatch() []Metric {
+// LastBatch returns the most recent batch (false when none arrived).
+func (s *RingSink) LastBatch() (Batch, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.batches) == 0 {
-		return nil
+		return Batch{}, false
 	}
-	return s.batches[len(s.batches)-1]
+	return s.batches[len(s.batches)-1], true
 }
 
 // Find returns the sample with the given name and job label from the most
 // recent batch (false when absent).
 func (s *RingSink) Find(name, job string) (Metric, bool) {
-	for _, m := range s.LastBatch() {
+	b, _ := s.LastBatch()
+	for _, m := range b.Metrics {
 		if m.Name == name && m.Job == job {
 			return m, true
 		}
@@ -93,16 +63,16 @@ func (s *RingSink) Find(name, job string) (Metric, bool) {
 	return Metric{}, false
 }
 
-// Len returns how many metric batches the ring currently holds.
+// Len returns how many batches the ring currently holds.
 func (s *RingSink) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.batches)
 }
 
-// Reset discards all retained events and batches.
+// Reset discards all retained batches.
 func (s *RingSink) Reset() {
 	s.mu.Lock()
-	s.events, s.batches = nil, nil
+	s.batches = nil
 	s.mu.Unlock()
 }

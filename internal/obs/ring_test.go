@@ -2,28 +2,10 @@ package obs
 
 import "testing"
 
-func TestRingSinkBoundsEvents(t *testing.T) {
-	s := NewRingSink(3)
-	for i := 1; i <= 10; i++ {
-		s.Emit(Event{ElapsedSeconds: float64(i)})
-	}
-	evs := s.Events()
-	if len(evs) != 3 {
-		t.Fatalf("events = %d, want 3", len(evs))
-	}
-	if evs[0].ElapsedSeconds != 8 || evs[2].ElapsedSeconds != 10 {
-		t.Fatalf("ring kept %+v, want the last three", evs)
-	}
-	last, ok := s.LastEvent()
-	if !ok || last.ElapsedSeconds != 10 {
-		t.Fatalf("LastEvent = (%+v, %v), want elapsed 10", last, ok)
-	}
-}
-
 func TestRingSinkBoundsBatches(t *testing.T) {
 	s := NewRingSink(2)
 	for i := 1; i <= 5; i++ {
-		if err := s.WriteMetrics([]Metric{{Name: "x", Kind: KindCounter, Value: float64(i)}}); err != nil {
+		if err := s.WriteBatch(Batch{Metrics: []Metric{{Name: "x", Kind: KindCounter, Value: float64(i)}}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -31,7 +13,7 @@ func TestRingSinkBoundsBatches(t *testing.T) {
 		t.Fatalf("batches = %d, want 2", s.Len())
 	}
 	batches := s.Batches()
-	if batches[0][0].Value != 4 || batches[1][0].Value != 5 {
+	if batches[0].Metrics[0].Value != 4 || batches[1].Metrics[0].Value != 5 {
 		t.Fatalf("ring kept %+v, want batches 4 and 5", batches)
 	}
 	if m, ok := s.Find("x", ""); !ok || m.Value != 5 {
@@ -43,14 +25,14 @@ func TestRingSinkBoundsBatches(t *testing.T) {
 }
 
 // TestRingSinkCopiesBatches pins the aliasing contract: the ring must stay
-// valid however the caller reuses the batch slice after WriteMetrics.
+// valid however the caller reuses the batch's samples after WriteBatch.
 func TestRingSinkCopiesBatches(t *testing.T) {
 	s := NewRingSink(4)
-	batch := []Metric{{Name: "x", Kind: KindCounter, Value: 1}}
-	if err := s.WriteMetrics(batch); err != nil {
+	metrics := []Metric{{Name: "x", Kind: KindCounter, Value: 1}}
+	if err := s.WriteBatch(Batch{Metrics: metrics}); err != nil {
 		t.Fatal(err)
 	}
-	batch[0].Value = 999
+	metrics[0].Value = 999
 	if m, _ := s.Find("x", ""); m.Value != 1 {
 		t.Fatalf("ring aliased the caller's batch: %+v", m)
 	}
@@ -58,22 +40,21 @@ func TestRingSinkCopiesBatches(t *testing.T) {
 
 func TestRingSinkReset(t *testing.T) {
 	s := NewRingSink(4)
-	s.Emit(Event{ElapsedSeconds: 1})
-	_ = s.WriteMetrics([]Metric{{Name: "x"}})
+	_ = s.WriteBatch(Batch{Metrics: []Metric{{Name: "x"}}})
 	s.Reset()
-	if len(s.Events()) != 0 || s.Len() != 0 || s.LastBatch() != nil {
+	if s.Len() != 0 || len(s.Batches()) != 0 {
 		t.Fatal("Reset left data behind")
 	}
-	if _, ok := s.LastEvent(); ok {
-		t.Fatal("Reset left an event behind")
+	if _, ok := s.LastBatch(); ok {
+		t.Fatal("Reset left a batch behind")
 	}
 }
 
 func TestRingSinkMinimumCapacity(t *testing.T) {
 	s := NewRingSink(0)
-	s.Emit(Event{ElapsedSeconds: 1})
-	s.Emit(Event{ElapsedSeconds: 2})
-	if evs := s.Events(); len(evs) != 1 || evs[0].ElapsedSeconds != 2 {
-		t.Fatalf("zero-capacity ring = %+v, want just the newest event", evs)
+	_ = s.WriteBatch(Batch{Elapsed: 1})
+	_ = s.WriteBatch(Batch{Elapsed: 2})
+	if bs := s.Batches(); len(bs) != 1 || bs[0].Elapsed != 2 {
+		t.Fatalf("zero-capacity ring = %+v, want just the newest batch", bs)
 	}
 }

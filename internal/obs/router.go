@@ -1,7 +1,10 @@
 package obs
 
 import (
-	"sort"
+	"context"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -9,33 +12,29 @@ import (
 	"paracrash/internal/faultinject"
 )
 
-// Rule is one relabeling step of a router. Rules are applied to every
-// collected sample in order; the first rule whose Match prefix matches the
-// sample's name decides its fate (drop, or prefix replacement), and later
-// rules are skipped. A sample no rule matches passes through unchanged.
-type Rule struct {
-	// Match is the name prefix the rule applies to ("" matches every
-	// sample).
-	Match string
-	// Drop discards matched samples.
-	Drop bool
-	// Replace substitutes the matched prefix when Drop is false; renaming
-	// two series onto one name merges them (fleet values sum).
-	Replace string
+// Batch is one sampling pass of a router, as every sink receives it.
+type Batch struct {
+	// At is the sample time.
+	At time.Time
+	// Elapsed is the wall time in seconds since the router's process-level
+	// ("") collector started, when that collector is a *Run (0 otherwise).
+	Elapsed float64
+	// Phase is that run's current phase ("" without one).
+	Phase string
+	// Final marks the batch Close publishes, the last a sink receives.
+	Final bool
+	// Metrics holds the fleet series (empty Job) and the per-job series,
+	// sorted by name then job. The slice is shared between sinks and must
+	// not be mutated.
+	Metrics []Metric
 }
 
-// apply returns the relabeled name and whether the sample survives.
-func applyRules(rules []Rule, name string) (string, bool) {
-	for _, r := range rules {
-		if len(name) < len(r.Match) || name[:len(r.Match)] != r.Match {
-			continue
-		}
-		if r.Drop {
-			return "", false
-		}
-		return r.Replace + name[len(r.Match):], true
-	}
-	return name, true
+// Sink consumes a router's batches. WriteBatch is called from the sink's
+// dedicated worker goroutine (one per AddSink), so implementations only
+// need to serialise against themselves. A returned error is counted by
+// the router and otherwise ignored — sinks are best-effort by design.
+type Sink interface {
+	WriteBatch(b Batch) error
 }
 
 // routerSinkQueue is the per-sink batch buffer depth. A sink that falls
@@ -47,17 +46,17 @@ const routerSinkQueue = 8
 // bounded channel and written on a dedicated goroutine, so a blocking or
 // erroring sink can only ever cost its own batches.
 type sinkWorker struct {
-	sink MetricSink
-	ch   chan []Metric
+	sink Sink
+	ch   chan Batch
 	done chan struct{}
 }
 
-// Router is the middle of the telemetry pipeline: it pulls samples from
+// Router is the telemetry pipeline's one sampler: it pulls samples from
 // attached collectors (one per job, plus an unlabeled process collector),
-// applies relabeling rules, aggregates per-job series into fleet-level
-// rollups, and fans the combined batch out to sinks — each behind a
-// bounded, drop-on-overflow queue so telemetry can never stall the
-// exploration hot path.
+// aggregates per-job series into fleet-level rollups, and fans the
+// combined batch out to sinks — each behind a bounded, drop-on-overflow
+// queue so telemetry can never stall the exploration hot path. Progress
+// events are a view of these batches (see NewEvent).
 //
 // Fleet aggregation is merge-order independent: counters sum across live
 // collectors plus the folded totals of detached ones (Detach folds a
@@ -69,9 +68,8 @@ type Router struct {
 	mu         sync.Mutex
 	collectors map[string]Collector
 	order      []string
-	retired    map[string]float64 // relabel-raw counter name -> folded total
+	retired    map[string]Metric // folded counter and timer totals by name
 	retOrder   []string
-	rules      []Rule
 	workers    []*sinkWorker
 	faults     *faultinject.Plan
 
@@ -81,9 +79,9 @@ type Router struct {
 	dropped atomic.Int64
 	errs    atomic.Int64
 
-	// DrainTimeout bounds how long Close waits for sink workers to flush
-	// their queued batches; a sink still blocked past it is abandoned
-	// (zero means the 2s default). Set before Close.
+	// DrainTimeout bounds how long Close waits to hand every sink the
+	// final batch and for the sink workers to flush; a sink still blocked
+	// past it is abandoned (zero means the 2s default). Set before Close.
 	DrainTimeout time.Duration
 }
 
@@ -92,20 +90,8 @@ type Router struct {
 func NewRouter() *Router {
 	return &Router{
 		collectors: map[string]Collector{},
-		retired:    map[string]float64{},
+		retired:    map[string]Metric{},
 	}
-}
-
-// SetRules installs the relabeling rules (replacing any previous set).
-// Rules apply to live and retired series alike at sampling time, so a rule
-// change re-shapes the whole output, history included.
-func (rt *Router) SetRules(rules []Rule) {
-	if rt == nil {
-		return
-	}
-	rt.mu.Lock()
-	rt.rules = append([]Rule(nil), rules...)
-	rt.mu.Unlock()
 }
 
 // SetFaults arms the deterministic fault plane on the sink path (site
@@ -123,8 +109,10 @@ func (rt *Router) SetFaults(p *faultinject.Plan) {
 // Attach registers a collector under the given job label; samples it
 // yields are emitted as per-job series and aggregated into the fleet
 // rollup. The empty label is the process-level collector (a daemon's own
-// run): its samples contribute to the fleet without a per-job series.
-// Re-attaching a label replaces the collector.
+// run, or the one run of a CLI invocation or job): its samples contribute
+// to the fleet without a per-job series, and when it is a *Run its clock
+// and phase stamp every Batch. Re-attaching a label replaces the
+// collector.
 func (rt *Router) Attach(job string, c Collector) {
 	if rt == nil || c == nil {
 		return
@@ -138,9 +126,9 @@ func (rt *Router) Attach(job string, c Collector) {
 }
 
 // Detach removes the collector attached under job, folding its final
-// counter values (post-collection, pre-relabel) into the fleet's retired
-// totals so fleet counters stay monotonic across job completions. Gauges
-// and unknown labels fold nothing.
+// counter and timer values into the fleet's retired totals so fleet
+// counters stay monotonic across job completions. Gauges and unknown
+// labels fold nothing.
 func (rt *Router) Detach(job string) {
 	if rt == nil {
 		return
@@ -163,46 +151,52 @@ func (rt *Router) Detach(job string) {
 	final := c.CollectMetrics(nil)
 	rt.mu.Lock()
 	for _, m := range final {
-		if m.Kind != KindCounter {
+		if m.Kind == KindGauge {
 			continue
 		}
-		if _, seen := rt.retired[m.Name]; !seen {
+		r, seen := rt.retired[m.Name]
+		if !seen {
 			rt.retOrder = append(rt.retOrder, m.Name)
 		}
-		rt.retired[m.Name] += m.Value
+		rt.retired[m.Name] = Metric{Name: m.Name, Kind: m.Kind, Value: r.Value + m.Value}
 	}
 	rt.mu.Unlock()
 }
 
-// AddSink attaches a sink behind a bounded queue and its own writer
-// goroutine. Batches that do not fit the queue are dropped (see Dropped);
+// AddSink attaches sinks, each behind a bounded queue and its own writer
+// goroutine. Batches that do not fit a queue are dropped (see Dropped);
 // write errors and injected faults are counted (see Errors) and never
 // propagate.
-func (rt *Router) AddSink(s MetricSink) {
-	if rt == nil || s == nil {
+func (rt *Router) AddSink(sinks ...Sink) {
+	if rt == nil {
 		return
 	}
-	w := &sinkWorker{sink: s, ch: make(chan []Metric, routerSinkQueue), done: make(chan struct{})}
-	rt.mu.Lock()
-	rt.workers = append(rt.workers, w)
-	idx := len(rt.workers) - 1
-	rt.mu.Unlock()
-	go rt.runSink(w, idx)
+	for _, s := range sinks {
+		if s == nil {
+			continue
+		}
+		w := &sinkWorker{sink: s, ch: make(chan Batch, routerSinkQueue), done: make(chan struct{})}
+		rt.mu.Lock()
+		rt.workers = append(rt.workers, w)
+		idx := len(rt.workers) - 1
+		rt.mu.Unlock()
+		go rt.runSink(w, idx)
+	}
 }
 
 // runSink drains one sink's queue until the channel closes.
 func (rt *Router) runSink(w *sinkWorker, idx int) {
 	defer close(w.done)
-	key := "sink-" + itoa(idx)
-	for batch := range w.ch {
-		rt.writeOne(w, key, batch)
+	key := "sink-" + strconv.Itoa(idx)
+	for b := range w.ch {
+		rt.writeOne(w, key, b)
 	}
 }
 
 // writeOne performs one guarded sink write: injected faults and sink
 // errors are counted, and a panicking sink (or an injected KindPanic) is
 // quarantined as one more error instead of killing the process.
-func (rt *Router) writeOne(w *sinkWorker, key string, batch []Metric) {
+func (rt *Router) writeOne(w *sinkWorker, key string, b Batch) {
 	defer func() {
 		if v := recover(); v != nil {
 			rt.errs.Add(1)
@@ -215,29 +209,14 @@ func (rt *Router) writeOne(w *sinkWorker, key string, batch []Metric) {
 		rt.errs.Add(1)
 		return
 	}
-	if err := w.sink.WriteMetrics(batch); err != nil {
+	if err := w.sink.WriteBatch(b); err != nil {
 		rt.errs.Add(1)
 	}
 }
 
-// itoa is a tiny allocation-light integer formatter for sink keys.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
-}
-
 // Sample performs one synchronous collection pass: pull every attached
-// collector, relabel, aggregate, and return the combined batch — fleet
-// series (empty Job) and per-job series, sorted by name then job for
+// collector, aggregate, and return the combined samples — fleet series
+// (empty Job) and per-job series, sorted by name then job for
 // deterministic output. Sample never touches the sinks; Publish does.
 func (rt *Router) Sample() []Metric {
 	if rt == nil {
@@ -249,71 +228,65 @@ func (rt *Router) Sample() []Metric {
 	for i, l := range labels {
 		colls[i] = rt.collectors[l]
 	}
-	rules := append([]Rule(nil), rt.rules...)
-	retNames := append([]string(nil), rt.retOrder...)
-	retired := make(map[string]float64, len(retNames))
-	for _, n := range retNames {
-		retired[n] = rt.retired[n]
+	retired := make([]Metric, len(rt.retOrder))
+	for i, n := range rt.retOrder {
+		retired[i] = rt.retired[n]
 	}
 	rt.mu.Unlock()
 
-	type series struct {
-		kind  MetricKind
-		value float64
-	}
-	fleet := map[string]*series{}
-	var fleetOrder []string
-	addFleet := func(name string, kind MetricKind, v float64) {
-		s, ok := fleet[name]
-		if !ok {
-			s = &series{kind: kind}
-			fleet[name] = s
-			fleetOrder = append(fleetOrder, name)
-		}
-		s.value += v
-	}
-
-	var perJob []Metric
-	var scratch []Metric
+	var samples []Metric
 	for i, c := range colls {
-		scratch = c.CollectMetrics(scratch[:0])
-		for _, m := range scratch {
-			name, keep := applyRules(rules, m.Name)
-			if !keep {
-				continue
-			}
-			addFleet(name, m.Kind, m.Value)
-			if labels[i] != "" {
-				perJob = append(perJob, Metric{Name: name, Kind: m.Kind, Job: labels[i], Value: m.Value})
-			}
+		n := len(samples)
+		samples = c.CollectMetrics(samples)
+		for j := n; j < len(samples); j++ {
+			samples[j].Job = labels[i]
 		}
 	}
-	for _, n := range retNames {
-		name, keep := applyRules(rules, n)
-		if !keep {
-			continue
-		}
-		addFleet(name, KindCounter, retired[n])
-	}
+	samples = append(samples, retired...)
 	if d := rt.dropped.Load(); d > 0 {
-		addFleet("obs/router/dropped-batches", KindCounter, float64(d))
+		samples = append(samples, Metric{Name: "obs/router/dropped-batches", Kind: KindCounter, Value: float64(d)})
 	}
 	if e := rt.errs.Load(); e > 0 {
-		addFleet("obs/router/sink-errors", KindCounter, float64(e))
+		samples = append(samples, Metric{Name: "obs/router/sink-errors", Kind: KindCounter, Value: float64(e)})
 	}
 
-	batch := make([]Metric, 0, len(fleetOrder)+len(perJob))
-	for _, n := range fleetOrder {
-		batch = append(batch, Metric{Name: n, Kind: fleet[n].kind, Value: fleet[n].value})
-	}
-	batch = append(batch, perJob...)
-	sort.SliceStable(batch, func(i, j int) bool {
-		if batch[i].Name != batch[j].Name {
-			return batch[i].Name < batch[j].Name
+	// Every sample adds into its fleet series; a job's sample also stays
+	// as its own series.
+	fleet := make(map[string]int, len(samples)) // name -> index in batch
+	batch := make([]Metric, 0, len(samples))
+	for _, m := range samples {
+		if i, ok := fleet[m.Name]; ok {
+			batch[i].Value += m.Value
+		} else {
+			fleet[m.Name] = len(batch)
+			batch = append(batch, Metric{Name: m.Name, Kind: m.Kind, Value: m.Value})
 		}
-		return batch[i].Job < batch[j].Job // "" (fleet) sorts first
+		if m.Job != "" {
+			batch = append(batch, m)
+		}
+	}
+	// (name, job) pairs are unique, so the order is total.
+	slices.SortFunc(batch, func(a, b Metric) int {
+		if c := strings.Compare(a.Name, b.Name); c != 0 {
+			return c
+		}
+		return strings.Compare(a.Job, b.Job) // "" (fleet) sorts first
 	})
 	return batch
+}
+
+// sample stamps one collection pass with the process-level run's clock
+// and phase.
+func (rt *Router) sample(final bool) Batch {
+	rt.mu.Lock()
+	proc, _ := rt.collectors[""].(*Run)
+	rt.mu.Unlock()
+	b := Batch{At: time.Now(), Final: final, Metrics: rt.Sample()}
+	if proc != nil {
+		b.Elapsed = proc.Elapsed().Seconds()
+		b.Phase = proc.CurrentPhase()
+	}
+	return b
 }
 
 // Publish samples once and hands the batch to every sink worker without
@@ -323,16 +296,12 @@ func (rt *Router) Publish() {
 	if rt == nil {
 		return
 	}
-	batch := rt.Sample()
-	if len(batch) == 0 {
-		return
-	}
+	b := rt.sample(false)
 	rt.mu.Lock()
-	workers := append([]*sinkWorker(nil), rt.workers...)
-	rt.mu.Unlock()
-	for _, w := range workers {
+	defer rt.mu.Unlock()
+	for _, w := range rt.workers {
 		select {
-		case w.ch <- batch:
+		case w.ch <- b:
 		default:
 			rt.dropped.Add(1)
 		}
@@ -369,10 +338,12 @@ func (rt *Router) Start(interval time.Duration) {
 	}()
 }
 
-// Close stops the sampling loop, publishes one final batch, and waits up
-// to DrainTimeout for the sink workers to flush. A sink still blocked past
-// the deadline is abandoned with its queued batches — shutdown is never
-// hostage to a wedged sink. Safe on nil routers; idempotent.
+// Close stops the sampling loop, hands every sink one final batch (Final
+// set), and waits for the sink workers to flush — all within
+// DrainTimeout. A lagging sink still gets the final batch once its queue
+// has room; a sink still blocked at the deadline is abandoned with its
+// queued batches, so shutdown is never hostage to a wedged sink. Safe on
+// nil routers; idempotent.
 func (rt *Router) Close() {
 	if rt == nil {
 		return
@@ -386,8 +357,7 @@ func (rt *Router) Close() {
 		<-done
 	}
 
-	rt.Publish()
-
+	final := rt.sample(true)
 	rt.mu.Lock()
 	workers := rt.workers
 	rt.workers = nil
@@ -396,15 +366,24 @@ func (rt *Router) Close() {
 	if drain <= 0 {
 		drain = 2 * time.Second
 	}
-	deadline := time.NewTimer(drain)
-	defer deadline.Stop()
+	ctx, cancel := context.WithTimeout(context.Background(), drain)
+	defer cancel()
 	for _, w := range workers {
+		select {
+		case w.ch <- final:
+		default: // queue full: wait for room, but not past the deadline
+			select {
+			case w.ch <- final:
+			case <-ctx.Done():
+				rt.dropped.Add(1)
+			}
+		}
 		close(w.ch)
 	}
 	for _, w := range workers {
 		select {
 		case <-w.done:
-		case <-deadline.C:
+		case <-ctx.Done():
 			return
 		}
 	}

@@ -15,29 +15,6 @@ func (c staticCollector) CollectMetrics(dst []Metric) []Metric {
 	return append(dst, c...)
 }
 
-func TestApplyRulesFirstMatchWins(t *testing.T) {
-	rules := []Rule{
-		{Match: "noise/", Drop: true},
-		{Match: "states/", Replace: "exploration/"},
-		{Match: "states/checked", Replace: "never-reached/"}, // shadowed by the prefix rule above
-	}
-	cases := []struct {
-		in   string
-		want string
-		keep bool
-	}{
-		{"noise/gc-pause", "", false},
-		{"states/checked", "exploration/checked", true},
-		{"restores/servers", "restores/servers", true},
-	}
-	for _, tc := range cases {
-		got, keep := applyRules(rules, tc.in)
-		if keep != tc.keep || got != tc.want {
-			t.Errorf("applyRules(%q) = (%q, %v), want (%q, %v)", tc.in, got, keep, tc.want, tc.keep)
-		}
-	}
-}
-
 func TestRouterFleetAndPerJobSeries(t *testing.T) {
 	rt := NewRouter()
 	proc := NewRun()
@@ -89,45 +66,25 @@ func TestRouterFleetAndPerJobSeries(t *testing.T) {
 	}
 }
 
-func TestRouterRelabelingShapesOutput(t *testing.T) {
-	rt := NewRouter()
-	rt.Attach("j", staticCollector{
-		{Name: "states/checked", Kind: KindCounter, Value: 7},
-		{Name: "debug/scratch", Kind: KindGauge, Value: 1},
-	})
-	rt.SetRules([]Rule{
-		{Match: "debug/", Drop: true},
-		{Match: "states/", Replace: "exploration/"},
-	})
-	batch := rt.Sample()
-	for _, m := range batch {
-		if m.Name == "debug/scratch" {
-			t.Fatalf("dropped series survived: %+v", batch)
-		}
-		if m.Name == "states/checked" {
-			t.Fatalf("relabel did not apply: %+v", batch)
-		}
-	}
-	found := 0
-	for _, m := range batch {
-		if m.Name == "exploration/checked" {
-			found++
-		}
-	}
-	if found != 2 { // fleet + per-job
-		t.Fatalf("exploration/checked series = %d, want 2 (fleet + job)\n%+v", found, batch)
-	}
-}
-
 func TestRouterDetachFoldsCounters(t *testing.T) {
 	rt := NewRouter()
 	run := NewRun()
 	run.Counter("states/checked").Add(9)
 	run.Gauge("queue/depth").Set(4)
+	run.StartTimer("pfs/restore")()
 	rt.Attach("job-a", run)
 
 	rt.Detach("job-a")
 	batch := rt.Sample()
+	timerFolded := false
+	for _, m := range batch {
+		if m.Name == "pfs/restore/count" && m.Job == "" && m.Kind == KindTimer && m.Value == 1 {
+			timerFolded = true
+		}
+	}
+	if !timerFolded {
+		t.Fatalf("detached job's timer did not fold as a timer series: %+v", batch)
+	}
 	var fleet, perJob, gauges int
 	for _, m := range batch {
 		switch {
@@ -238,10 +195,10 @@ func TestRouterPublishReachesSinks(t *testing.T) {
 	rt.Close() // flushes the worker
 
 	if m, ok := ring.Find("states/checked", "j"); !ok || m.Value != 3 {
-		t.Fatalf("sink batch missing per-job sample: %+v", ring.LastBatch())
+		t.Fatalf("sink batch missing per-job sample: %+v", ring.Batches())
 	}
 	if m, ok := ring.Find("states/checked", ""); !ok || m.Value != 3 {
-		t.Fatalf("sink batch missing fleet sample: %+v", ring.LastBatch())
+		t.Fatalf("sink batch missing fleet sample: %+v", ring.Batches())
 	}
 }
 
@@ -249,7 +206,6 @@ func TestRouterNilIsNoop(t *testing.T) {
 	var rt *Router
 	rt.Attach("j", NewRun())
 	rt.Detach("j")
-	rt.SetRules([]Rule{{Match: "x", Drop: true}})
 	rt.SetFaults(nil)
 	rt.AddSink(NewRingSink(1))
 	rt.Publish()

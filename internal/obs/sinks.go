@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,18 +13,8 @@ import (
 	"time"
 )
 
-// MetricSink consumes sampled metric batches from a router. WriteMetrics
-// is called from the sink's dedicated worker goroutine (one per AddSink),
-// so implementations only need to serialise against themselves; the batch
-// slice is shared between sinks and must not be mutated. A returned error
-// is counted by the router and otherwise ignored — sinks are best-effort
-// by design.
-type MetricSink interface {
-	WriteMetrics(batch []Metric) error
-}
-
-// TextSink renders each batch as human-oriented lines on W, one sample per
-// line ("name value" for fleet series, `name{job="id"} value` for per-job
+// TextSink renders each batch's samples as human-oriented lines on W, one
+// per line ("name value" for fleet series, `name{job="id"} value` for per-job
 // series) with a blank line between batches — the stdout sink.
 type TextSink struct {
 	// W receives the rendered lines.
@@ -32,12 +23,12 @@ type TextSink struct {
 	mu sync.Mutex
 }
 
-// WriteMetrics implements MetricSink.
-func (s *TextSink) WriteMetrics(batch []Metric) error {
+// WriteBatch implements Sink.
+func (s *TextSink) WriteBatch(batch Batch) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var b strings.Builder
-	for _, m := range batch {
+	for _, m := range batch.Metrics {
 		if m.Job == "" {
 			fmt.Fprintf(&b, "%s %s\n", m.Name, formatValue(m.Value))
 		} else {
@@ -66,8 +57,8 @@ func toJSON(batch []Metric) []metricJSON {
 	return out
 }
 
-// MetricJSONLSink writes each batch as one JSON array per line — the
-// machine-readable file sink (distinct from JSONLSink, which encodes
+// MetricJSONLSink writes each batch's samples as one JSON array per line
+// — the machine-readable file sink (distinct from JSONLSink, which encodes
 // progress Events).
 type MetricJSONLSink struct {
 	mu  sync.Mutex
@@ -80,14 +71,14 @@ func NewMetricJSONLSink(w io.Writer) *MetricJSONLSink {
 	return &MetricJSONLSink{enc: json.NewEncoder(w)}
 }
 
-// WriteMetrics implements MetricSink.
-func (s *MetricJSONLSink) WriteMetrics(batch []Metric) error {
+// WriteBatch implements Sink.
+func (s *MetricJSONLSink) WriteBatch(batch Batch) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.enc.Encode(toJSON(batch))
+	return s.enc.Encode(toJSON(batch.Metrics))
 }
 
-// HTTPPushSink POSTs each batch as a JSON array to URL — the push
+// HTTPPushSink POSTs each batch's samples as a JSON array to URL — the push
 // counterpart of the pull-style /metrics endpoint, for fleets funnelling
 // into a central receiver. Requests are bounded by Timeout (default 5s) so
 // a dead receiver costs at most one in-flight request per batch; the
@@ -104,8 +95,8 @@ type HTTPPushSink struct {
 	client *http.Client
 }
 
-// WriteMetrics implements MetricSink.
-func (s *HTTPPushSink) WriteMetrics(batch []Metric) error {
+// WriteBatch implements Sink.
+func (s *HTTPPushSink) WriteBatch(batch Batch) error {
 	s.once.Do(func() {
 		s.client = s.Client
 		if s.client == nil {
@@ -116,7 +107,7 @@ func (s *HTTPPushSink) WriteMetrics(batch []Metric) error {
 			s.client = &http.Client{Timeout: to}
 		}
 	})
-	body, err := json.Marshal(toJSON(batch))
+	body, err := json.Marshal(toJSON(batch.Metrics))
 	if err != nil {
 		return err
 	}
@@ -132,59 +123,78 @@ func (s *HTTPPushSink) WriteMetrics(batch []Metric) error {
 	return nil
 }
 
-// ParseSinkSpec builds a metric sink from a CLI -sink specification:
+// parseSinkSpec is the one home of the -sink grammar (see SinkSpecList):
+// it splits a valid spec into its kind and argument (the path or URL).
+func parseSinkSpec(spec string) (kind, arg string, err error) {
+	kind, arg, _ = strings.Cut(spec, ":")
+	switch {
+	case spec == "stdout", spec == "stderr":
+		return spec, "", nil
+	case kind == "jsonl" && arg != "":
+		return kind, arg, nil
+	case kind == "push" && (strings.HasPrefix(arg, "http://") || strings.HasPrefix(arg, "https://")):
+		return kind, arg, nil
+	}
+	return "", "", fmt.Errorf("unknown sink spec %q (want stdout, stderr, jsonl:PATH or push:URL)", spec)
+}
+
+// OpenSinks builds the sinks named by -sink specifications (see
+// SinkSpecList for the grammar) and returns them with one function that
+// releases what they hold (the file sinks' descriptors). On error it
+// closes the sinks it already opened.
+func OpenSinks(specs []string) ([]Sink, func() error, error) {
+	var sinks []Sink
+	var files []*os.File
+	closeAll := func() error {
+		var errs []error
+		for _, f := range files {
+			errs = append(errs, f.Close())
+		}
+		return errors.Join(errs...)
+	}
+	for _, spec := range specs {
+		kind, arg, err := parseSinkSpec(spec)
+		if err != nil {
+			_ = closeAll()
+			return nil, nil, fmt.Errorf("obs: %w", err)
+		}
+		switch kind {
+		case "stdout":
+			sinks = append(sinks, &TextSink{W: os.Stdout})
+		case "stderr":
+			sinks = append(sinks, &TextSink{W: os.Stderr})
+		case "jsonl":
+			f, err := os.OpenFile(arg, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+			if err != nil {
+				_ = closeAll()
+				return nil, nil, fmt.Errorf("obs: sink %q: %w", spec, err)
+			}
+			files = append(files, f)
+			sinks = append(sinks, NewMetricJSONLSink(f))
+		case "push":
+			sinks = append(sinks, &HTTPPushSink{URL: arg})
+		}
+	}
+	return sinks, closeAll, nil
+}
+
+// SinkSpecList is a repeatable -sink flag value accumulating sink
+// specifications:
 //
 //	stdout          human-readable lines on standard output
 //	stderr          the same on standard error
 //	jsonl:PATH      one JSON array per batch appended to PATH
 //	push:URL        POST each batch as JSON to URL (http:// or https://)
-//
-// It returns the sink and a close function releasing any resource the
-// sink holds (the file sink's descriptor; nil-safe no-op otherwise).
-func ParseSinkSpec(spec string) (MetricSink, func() error, error) {
-	nop := func() error { return nil }
-	switch {
-	case spec == "stdout":
-		return &TextSink{W: os.Stdout}, nop, nil
-	case spec == "stderr":
-		return &TextSink{W: os.Stderr}, nop, nil
-	case strings.HasPrefix(spec, "jsonl:"):
-		path := spec[len("jsonl:"):]
-		if path == "" {
-			return nil, nil, fmt.Errorf("obs: sink spec %q: empty path", spec)
-		}
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, nil, fmt.Errorf("obs: sink %q: %w", spec, err)
-		}
-		return NewMetricJSONLSink(f), f.Close, nil
-	case strings.HasPrefix(spec, "push:"):
-		url := spec[len("push:"):]
-		if !strings.HasPrefix(url, "http://") && !strings.HasPrefix(url, "https://") {
-			return nil, nil, fmt.Errorf("obs: sink spec %q: push URL must be http(s)", spec)
-		}
-		return &HTTPPushSink{URL: url}, nop, nil
-	default:
-		return nil, nil, fmt.Errorf("obs: unknown sink spec %q (want stdout, stderr, jsonl:PATH or push:URL)", spec)
-	}
-}
-
-// SinkSpecList is a repeatable -sink flag value accumulating sink
-// specifications (see ParseSinkSpec for the grammar).
 type SinkSpecList []string
 
 // String implements flag.Value.
 func (l *SinkSpecList) String() string { return strings.Join(*l, ",") }
 
-// Set implements flag.Value, validating the spec's shape eagerly so flag
-// parsing reports bad specs (files are opened later by ParseSinkSpec).
+// Set implements flag.Value, validating the spec eagerly so flag parsing
+// reports bad specs (files are opened later by OpenSinks).
 func (l *SinkSpecList) Set(v string) error {
-	switch {
-	case v == "stdout", v == "stderr":
-	case strings.HasPrefix(v, "jsonl:") && len(v) > len("jsonl:"):
-	case strings.HasPrefix(v, "push:http://"), strings.HasPrefix(v, "push:https://"):
-	default:
-		return fmt.Errorf("unknown sink spec %q (want stdout, stderr, jsonl:PATH or push:URL)", v)
+	if _, _, err := parseSinkSpec(v); err != nil {
+		return err
 	}
 	*l = append(*l, v)
 	return nil

@@ -16,11 +16,11 @@ import (
 func TestTextSinkFormat(t *testing.T) {
 	var buf bytes.Buffer
 	s := &TextSink{W: &buf}
-	err := s.WriteMetrics([]Metric{
+	err := s.WriteBatch(Batch{Metrics: []Metric{
 		{Name: "states/checked", Kind: KindCounter, Value: 15},
 		{Name: "states/checked", Kind: KindCounter, Job: "job-a", Value: 10},
-		{Name: "phase/explore/seconds", Kind: KindCounter, Value: 1.5},
-	})
+		{Name: "phase/explore/seconds", Kind: KindTimer, Value: 1.5},
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestMetricJSONLSinkRoundTrip(t *testing.T) {
 		{{Name: "a", Kind: KindCounter, Value: 3}},
 	}
 	for _, b := range batches {
-		if err := s.WriteMetrics(b); err != nil {
+		if err := s.WriteBatch(Batch{Metrics: b}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -77,7 +77,7 @@ func TestHTTPPushSink(t *testing.T) {
 	defer srv.Close()
 
 	s := &HTTPPushSink{URL: srv.URL}
-	if err := s.WriteMetrics([]Metric{{Name: "x", Kind: KindCounter, Value: 4}}); err != nil {
+	if err := s.WriteBatch(Batch{Metrics: []Metric{{Name: "x", Kind: KindCounter, Value: 4}}}); err != nil {
 		t.Fatal(err)
 	}
 	p := <-got
@@ -99,11 +99,13 @@ func TestHTTPPushSinkErrorStatus(t *testing.T) {
 	}))
 	defer srv.Close()
 	s := &HTTPPushSink{URL: srv.URL}
-	if err := s.WriteMetrics([]Metric{{Name: "x"}}); err == nil {
+	if err := s.WriteBatch(Batch{Metrics: []Metric{{Name: "x"}}}); err == nil {
 		t.Fatal("5xx response must surface as an error")
 	}
 }
 
+// TestParseSinkSpec checks the -sink grammar through OpenSinks: valid
+// specs open one sink each, malformed or unopenable ones fail.
 func TestParseSinkSpec(t *testing.T) {
 	dir := t.TempDir()
 	jsonlPath := filepath.Join(dir, "out.jsonl")
@@ -117,56 +119,50 @@ func TestParseSinkSpec(t *testing.T) {
 		{"push:http://localhost:1/x", false},
 		{"push:https://example.com/x", false},
 		{"jsonl:", true},
+		{"jsonl:" + filepath.Join(dir, "missing", "out.jsonl"), true},
 		{"push:ftp://nope", true},
 		{"push:", true},
+		{"stdout:x", true},
 		{"bogus", true},
 		{"", true},
 	}
 	for _, tc := range cases {
-		sink, closer, err := ParseSinkSpec(tc.spec)
+		sinks, closeSinks, err := OpenSinks([]string{tc.spec})
 		if tc.wantErr {
 			if err == nil {
-				t.Errorf("ParseSinkSpec(%q) succeeded, want error", tc.spec)
+				t.Errorf("OpenSinks(%q) succeeded, want error", tc.spec)
 			}
 			continue
 		}
 		if err != nil {
-			t.Errorf("ParseSinkSpec(%q): %v", tc.spec, err)
+			t.Errorf("OpenSinks(%q): %v", tc.spec, err)
 			continue
 		}
-		if sink == nil || closer == nil {
-			t.Errorf("ParseSinkSpec(%q) returned nil sink or closer", tc.spec)
+		if len(sinks) != 1 || sinks[0] == nil || closeSinks == nil {
+			t.Errorf("OpenSinks(%q) = %v sinks, closer nil: %v", tc.spec, len(sinks), closeSinks == nil)
 			continue
 		}
-		if err := closer(); err != nil {
-			t.Errorf("ParseSinkSpec(%q) closer: %v", tc.spec, err)
+		if err := closeSinks(); err != nil {
+			t.Errorf("OpenSinks(%q) closer: %v", tc.spec, err)
 		}
 	}
 }
 
 func TestParseSinkSpecJSONLWrites(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "m.jsonl")
-	sink, closer, err := ParseSinkSpec("jsonl:" + path)
-	if err != nil {
-		t.Fatal(err)
+	for _, m := range []Metric{{Name: "x", Kind: KindCounter, Value: 1}, {Name: "y", Kind: KindGauge, Value: 2}} {
+		sinks, closeSinks, err := OpenSinks([]string{"jsonl:" + path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sinks[0].WriteBatch(Batch{Metrics: []Metric{m}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := closeSinks(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := sink.WriteMetrics([]Metric{{Name: "x", Kind: KindCounter, Value: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := closer(); err != nil {
-		t.Fatal(err)
-	}
-	// Appending: a second open adds a line rather than truncating.
-	sink2, closer2, err := ParseSinkSpec("jsonl:" + path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sink2.WriteMetrics([]Metric{{Name: "y", Kind: KindGauge, Value: 2}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := closer2(); err != nil {
-		t.Fatal(err)
-	}
+	// Appending: the second open adds a line rather than truncating.
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -174,6 +170,30 @@ func TestParseSinkSpecJSONLWrites(t *testing.T) {
 	lines := strings.Split(strings.TrimRight(string(raw), "\n"), "\n")
 	if len(lines) != 2 {
 		t.Fatalf("jsonl file has %d lines, want 2 (append semantics):\n%s", len(lines), raw)
+	}
+}
+
+// TestOpenSinksClosesOnError pins the cleanup contract: when a later spec
+// fails, the files already opened are closed before OpenSinks returns.
+func TestOpenSinksClosesOnError(t *testing.T) {
+	openFDs := func() int {
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skip("no /proc/self/fd to count descriptors")
+		}
+		return len(fds)
+	}
+	dir := t.TempDir()
+	before := openFDs()
+	_, _, err := OpenSinks([]string{"jsonl:" + filepath.Join(dir, "a.jsonl"), "jsonl:" + filepath.Join(dir, "no", "b.jsonl")})
+	if err == nil {
+		t.Fatal("OpenSinks succeeded with an unopenable path")
+	}
+	if !strings.Contains(err.Error(), "no/b.jsonl") {
+		t.Fatalf("error %q does not name the failing spec", err)
+	}
+	if after := openFDs(); after != before {
+		t.Fatalf("open descriptors %d -> %d: the first sink's file leaked", before, after)
 	}
 }
 

@@ -2,20 +2,21 @@ package obs
 
 import "sync"
 
-// StreamSink buffers progress events for late subscribers and fans live
-// events out to active ones — the sink behind a job server's streamed
-// events endpoint. It keeps the most recent Capacity events as history;
-// Subscribe returns that history plus a live channel. A slow subscriber
-// never blocks Emit: events that do not fit in the subscriber's buffer are
-// dropped for that subscriber only (the history keeps the authoritative
-// record up to Capacity).
+// StreamSink turns a router's batches into progress events, buffers them
+// for late subscribers and fans live events out to active ones — the sink
+// behind a job server's streamed events endpoint. It keeps the most recent
+// Capacity events as history; Subscribe returns that history plus a live
+// channel. A slow subscriber never blocks WriteBatch: events that do not
+// fit in the subscriber's buffer are dropped for that subscriber only (the
+// history keeps the authoritative record up to Capacity).
 //
-// The sink is closed by the Final event a Run.Close emits (or by an
+// The sink is closed by the Final batch a Router.Close delivers (or by an
 // explicit CloseStream); subscription channels are then closed, so a
 // consumer draining the channel terminates exactly when the run does.
 type StreamSink struct {
 	mu      sync.Mutex
 	cap     int
+	view    eventView
 	history []Event
 	subs    map[int]chan Event
 	nextID  int
@@ -36,14 +37,15 @@ func NewStreamSink(capacity int) *StreamSink {
 	return &StreamSink{cap: capacity, subs: map[int]chan Event{}}
 }
 
-// Emit implements Sink: record the event and fan it out. The event that
-// carries Final closes the stream.
-func (s *StreamSink) Emit(ev Event) {
+// WriteBatch implements Sink: record the batch's event and fan it out.
+// The Final batch closes the stream.
+func (s *StreamSink) WriteBatch(b Batch) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
-		return
+		return nil
 	}
+	ev := s.view.next(b)
 	s.history = append(s.history, ev)
 	if len(s.history) > s.cap {
 		s.history = s.history[len(s.history)-s.cap:]
@@ -57,12 +59,13 @@ func (s *StreamSink) Emit(ev Event) {
 	if ev.Final {
 		s.closeLocked()
 	}
-	s.mu.Unlock()
+	return nil
 }
 
 // closeLocked closes every subscription channel. Callers hold s.mu.
 func (s *StreamSink) closeLocked() {
 	s.closed = true
+	s.view.prev = nil
 	for id, ch := range s.subs {
 		close(ch)
 		delete(s.subs, id)
@@ -77,13 +80,6 @@ func (s *StreamSink) CloseStream() {
 		s.closeLocked()
 	}
 	s.mu.Unlock()
-}
-
-// Closed reports whether the stream has ended.
-func (s *StreamSink) Closed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
 }
 
 // Subscribe returns the buffered history, a channel of subsequent live

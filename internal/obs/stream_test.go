@@ -7,8 +7,8 @@ import (
 
 func TestStreamSinkHistoryAndLive(t *testing.T) {
 	s := NewStreamSink(4)
-	s.Emit(Event{ElapsedSeconds: 1})
-	s.Emit(Event{ElapsedSeconds: 2})
+	s.WriteBatch(Batch{Elapsed: 1})
+	s.WriteBatch(Batch{Elapsed: 2})
 
 	history, live, cancel := s.Subscribe()
 	defer cancel()
@@ -16,7 +16,7 @@ func TestStreamSinkHistoryAndLive(t *testing.T) {
 		t.Fatalf("history = %+v, want the two emitted events", history)
 	}
 
-	s.Emit(Event{ElapsedSeconds: 3})
+	s.WriteBatch(Batch{Elapsed: 3})
 	select {
 	case ev := <-live:
 		if ev.ElapsedSeconds != 3 {
@@ -30,7 +30,7 @@ func TestStreamSinkHistoryAndLive(t *testing.T) {
 func TestStreamSinkRingBound(t *testing.T) {
 	s := NewStreamSink(3)
 	for i := 1; i <= 10; i++ {
-		s.Emit(Event{ElapsedSeconds: float64(i)})
+		s.WriteBatch(Batch{Elapsed: float64(i)})
 	}
 	history, _, cancel := s.Subscribe()
 	defer cancel()
@@ -46,7 +46,7 @@ func TestStreamSinkFinalClosesSubscribers(t *testing.T) {
 	s := NewStreamSink(8)
 	_, live, cancel := s.Subscribe()
 	defer cancel()
-	s.Emit(Event{ElapsedSeconds: 1, Final: true})
+	s.WriteBatch(Batch{Elapsed: 1, Final: true})
 
 	// The final event arrives, then the channel closes.
 	ev, ok := <-live
@@ -56,10 +56,6 @@ func TestStreamSinkFinalClosesSubscribers(t *testing.T) {
 	if _, ok := <-live; ok {
 		t.Fatal("channel still open after final event")
 	}
-	if !s.Closed() {
-		t.Fatal("sink not closed after final event")
-	}
-
 	// Late subscription to a closed stream: history replays, channel is
 	// already closed.
 	history, late, lateCancel := s.Subscribe()
@@ -79,47 +75,38 @@ func TestStreamSinkSlowSubscriberDoesNotBlock(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		for i := 0; i < subscriberBuffer*3; i++ {
-			s.Emit(Event{ElapsedSeconds: float64(i)})
+			s.WriteBatch(Batch{Elapsed: float64(i)})
 		}
 		close(done)
 	}()
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Emit blocked on an undrained subscriber")
+		t.Fatal("WriteBatch blocked on an undrained subscriber")
 	}
 }
 
 func TestStreamSinkOnRun(t *testing.T) {
 	r := NewRun()
 	s := NewStreamSink(16)
-	ring := NewRingSink(16)
-	r.AddSink(s)
-	r.AddSink(ring)
-	r.StartProgress(time.Millisecond)
+	rt := NewRouter()
+	rt.Attach("", r)
+	rt.AddSink(s)
+	rt.Start(time.Millisecond)
 	r.Counter("x").Inc()
 	time.Sleep(10 * time.Millisecond)
-	r.Close()
+	rt.Close()
 
 	history, live, cancel := s.Subscribe()
 	defer cancel()
 	if len(history) == 0 {
-		t.Fatal("no events recorded from a progress loop")
+		t.Fatal("no events recorded from a sampling loop")
 	}
-	if !history[len(history)-1].Final {
-		t.Fatalf("last event %+v not final after Close", history[len(history)-1])
+	last := history[len(history)-1]
+	if !last.Final || last.Counters["x"] != 1 {
+		t.Fatalf("last event %+v, want final with x=1 after Close", last)
 	}
 	if _, ok := <-live; ok {
 		t.Fatal("live channel open after Close")
-	}
-
-	// The ring sink saw the identical event stream: same count, same final
-	// event, no scraping needed.
-	if got := len(ring.Events()); got != len(history) {
-		t.Fatalf("ring events = %d, stream history = %d", got, len(history))
-	}
-	last, ok := ring.LastEvent()
-	if !ok || !last.Final || last.Counters["x"] != 1 {
-		t.Fatalf("ring final event = %+v, want final with x=1", last)
 	}
 }

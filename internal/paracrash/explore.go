@@ -1162,7 +1162,7 @@ func (s *session) legalPFS(cs CrashState, status []Status) (map[string]bool, err
 	}
 	set := map[string]bool{}
 	var rerr error
-	s.pfsOps.PreservedSets(s.opts.PFSModel, status, s.opts.MaxLegalStates, func(sel []int) bool {
+	truncated := s.pfsOps.PreservedSets(s.opts.PFSModel, status, s.opts.MaxLegalStates, func(sel []int) bool {
 		st, err := s.replayPFS(sel)
 		if err != nil {
 			rerr = err
@@ -1174,6 +1174,7 @@ func (s *session) legalPFS(cs CrashState, status []Status) (map[string]bool, err
 	if rerr != nil {
 		return nil, rerr
 	}
+	s.countTruncated(truncated)
 	s.legalPFSCache[key] = set
 	s.memoStore("pfs", s.opts.PFSModel, key, set)
 	s.stats.LegalPFSStates = max(s.stats.LegalPFSStates, len(set))
@@ -1194,17 +1195,26 @@ func (s *session) legalLib(cs CrashState, status []Status) map[string]bool {
 		return set
 	}
 	set := map[string]bool{}
-	s.libOps.PreservedSets(s.opts.LibModel, status, s.opts.MaxLegalStates, func(sel []int) bool {
+	s.countTruncated(s.libOps.PreservedSets(s.opts.LibModel, status, s.opts.MaxLegalStates, func(sel []int) bool {
 		if st, err := s.replayLib(sel); err == nil {
 			set[st] = true
 		}
 		return true
-	})
+	}))
 	s.legalLibCache[key] = set
 	s.memoStore("lib/"+s.lib.Name(), s.opts.LibModel, key, set)
 	s.stats.LegalLibStates = max(s.stats.LegalLibStates, len(set))
 	s.gaugeLegalLib.Max(int64(len(set)))
 	return set
+}
+
+// countTruncated records a legal-state enumeration that MaxLegalStates cut
+// short. The legal/truncated counter registers on first use, so runs that
+// never hit the cap keep their metrics unchanged.
+func (s *session) countTruncated(truncated bool) {
+	if truncated {
+		s.obs.Counter("legal/truncated").Inc()
+	}
 }
 
 func statusKey(status []Status) string {

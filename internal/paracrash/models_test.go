@@ -132,9 +132,18 @@ func TestPreservedSetsRespectLimit(t *testing.T) {
 	g, lo := buildLayerFixture()
 	status := lo.StatusAgainst(fullFront(g))
 	n := 0
-	lo.PreservedSets(ModelCommit, status, 3, func([]int) bool { n++; return true })
+	truncated := lo.PreservedSets(ModelCommit, status, 3, func([]int) bool { n++; return true })
 	if n != 3 {
 		t.Fatalf("limit ignored: %d sets", n)
+	}
+	if !truncated {
+		t.Fatal("a limit of 3 out of 8 sets not reported as truncated")
+	}
+	// Commit has exactly 8 sets: a limit of 8 (or none) hides nothing.
+	for _, limit := range []int{8, 0} {
+		if lo.PreservedSets(ModelCommit, status, limit, func([]int) bool { return true }) {
+			t.Errorf("limit %d reported truncation with no further set", limit)
+		}
 	}
 }
 

@@ -93,3 +93,31 @@ func TestObsPreservesDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestLegalTruncationCounted pins that the MaxLegalStates cut-off is never
+// silent: a cap below the legal-set count bumps legal/truncated, and a run
+// under the default cap never registers the counter, so its metrics stay
+// as they were. Verdict effects of a cut are out of scope here.
+func TestLegalTruncationCounted(t *testing.T) {
+	for _, prog := range []string{"ARVR", "H5-create"} {
+		for _, limit := range []int{2, 0} {
+			opts := paracrash.DefaultOptions()
+			opts.Mode = paracrash.ModeBrute
+			if limit > 0 {
+				opts.MaxLegalStates = limit
+			}
+			r := obs.NewRun()
+			opts.Obs = r
+			if _, err := runCell(context.Background(), "beegfs", prog, opts, 1); err != nil {
+				t.Fatalf("%s, MaxLegalStates %d: %v", prog, limit, err)
+			}
+			n, registered := r.Summary().Counters["legal/truncated"]
+			switch {
+			case limit > 0 && n == 0:
+				t.Errorf("%s, MaxLegalStates %d: legal/truncated = %d, want > 0", prog, limit, n)
+			case limit == 0 && registered:
+				t.Errorf("%s, default MaxLegalStates: legal/truncated registered (%d)", prog, n)
+			}
+		}
+	}
+}

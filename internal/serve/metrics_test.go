@@ -168,7 +168,7 @@ func TestChaosSchedulerWedgedSinkDoesNotStallJobs(t *testing.T) {
 
 	router := s.Router()
 	router.DrainTimeout = 50 * time.Millisecond
-	wedged := &wedgedMetricSink{release: make(chan struct{})}
+	wedged := &wedgedSink{release: make(chan struct{})}
 	defer close(wedged.release)
 	router.AddSink(wedged)
 	router.Start(time.Millisecond)
@@ -184,10 +184,10 @@ func TestChaosSchedulerWedgedSinkDoesNotStallJobs(t *testing.T) {
 	}
 }
 
-// wedgedMetricSink blocks every metric write until released.
-type wedgedMetricSink struct{ release chan struct{} }
+// wedgedSink blocks every batch write until released.
+type wedgedSink struct{ release chan struct{} }
 
-func (s *wedgedMetricSink) WriteMetrics([]obs.Metric) error {
+func (s *wedgedSink) WriteBatch(obs.Batch) error {
 	<-s.release
 	return nil
 }

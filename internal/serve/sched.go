@@ -44,8 +44,8 @@ type SchedulerConfig struct {
 	// MaxJobWorkers caps a fuzz job's concurrent campaign cells
 	// (JobRequest.Workers) so one job cannot claim every CPU (0 = no cap).
 	MaxJobWorkers int
-	// ProgressInterval is the per-job obs progress cadence feeding the
-	// events stream (default 250ms).
+	// ProgressInterval is the sampling interval of each job's router,
+	// which feeds the job's events stream (default 250ms).
 	ProgressInterval time.Duration
 	// EventHistory is the per-job event ring size (default 256).
 	EventHistory int
@@ -90,6 +90,11 @@ type jobRun struct {
 	run    *obs.Run
 	sink   *obs.StreamSink
 	cancel context.CancelFunc
+}
+
+// newJobRun returns the live half of a job about to be queued.
+func (s *Scheduler) newJobRun() *jobRun {
+	return &jobRun{run: obs.NewRun(), sink: obs.NewStreamSink(s.cfg.EventHistory)}
 }
 
 // Scheduler owns the job queue and the worker pool.
@@ -275,8 +280,7 @@ func (s *Scheduler) SubmitTenant(req JobRequest, tn *Tenant) (Job, error) {
 	// visible to workers: a worker that dequeues it immediately must find
 	// both, and the events endpoint can subscribe the instant Submit
 	// returns. Snapshot the record now — once enqueued, workers own it.
-	jr := &jobRun{run: obs.NewRun(), sink: obs.NewStreamSink(s.cfg.EventHistory)}
-	jr.run.AddSink(jr.sink)
+	jr := s.newJobRun()
 	s.runs[job.ID] = jr
 	s.store.Add(job)
 	snap := *job
@@ -366,8 +370,7 @@ func (s *Scheduler) runJob(job *Job) {
 	jr := s.runs[job.ID]
 	s.mu.Unlock()
 	if jr == nil { // unreachable: Submit registers before enqueueing
-		jr = &jobRun{run: obs.NewRun(), sink: obs.NewStreamSink(s.cfg.EventHistory)}
-		jr.run.AddSink(jr.sink)
+		jr = s.newJobRun()
 	}
 
 	ctx := context.Background()
@@ -390,13 +393,19 @@ func (s *Scheduler) runJob(job *Job) {
 	s.gaugeRunning.Add(1)
 	defer s.gaugeRunning.Add(-1)
 
-	jr.run.StartProgress(s.cfg.ProgressInterval)
+	// The job's own router samples its run into its event stream for as
+	// long as the job runs; nothing keeps it once runJob returns.
+	progress := obs.NewRouter()
+	progress.Attach("", jr.run)
+	progress.AddSink(jr.sink)
+	progress.Start(s.cfg.ProgressInterval)
 
 	report, fuzz, err := s.safeExecute(ctx, job, jr.run)
 
-	// Store the terminal record before closing the run: Close ends every
-	// events-stream subscriber, and a client that reads the job once its
-	// stream ends must find it terminal, never still running.
+	// Store the terminal record before closing the job router: its final
+	// event ends every events-stream subscriber, and a client that reads
+	// the job once its stream ends must find it terminal, never still
+	// running.
 	end := time.Now().UTC()
 	perr := s.store.Update(job.ID, func(j *Job) {
 		j.FinishedAt = &end
@@ -419,11 +428,14 @@ func (s *Scheduler) runJob(job *Job) {
 		s.obs.Counter("jobs/persist-errors").Inc()
 	}
 
-	// Close flushes the final progress event, which also closes every
-	// events-stream subscriber. Detaching from the router then folds the
-	// job's final counters into the fleet totals and ends its per-job
-	// /metrics series (bounded label cardinality).
-	jr.run.Close()
+	// Closing the job router delivers the final event, which also closes
+	// every events-stream subscriber; CloseStream ends the stream anyway if
+	// the drain deadline abandoned that event. Detaching from the
+	// scheduler router then folds the job's final counters into the fleet
+	// totals and ends its per-job /metrics series (bounded label
+	// cardinality).
+	progress.Close()
+	jr.sink.CloseStream()
 	s.router.Detach(job.ID)
 
 	switch {
@@ -546,8 +558,7 @@ func (s *Scheduler) Resubmit(id string) error {
 		s.ctrRejected.Inc()
 		return ErrQueueFull
 	}
-	jr := &jobRun{run: obs.NewRun(), sink: obs.NewStreamSink(s.cfg.EventHistory)}
-	jr.run.AddSink(jr.sink)
+	jr := s.newJobRun()
 	s.runs[id] = jr
 	_ = s.store.Update(id, func(job *Job) {
 		job.State = JobQueued
