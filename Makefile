@@ -124,7 +124,7 @@ fuzz-smoke:
 # byte-identical to clean uninterrupted runs, and a hard-faulted fuzz
 # campaign must quarantine cells instead of dying.
 chaos:
-	$(GO) test ./internal/paracrash/ -run 'TestChaosResumeDeterminism|TestFaultTransparency|TestHardFaults|TestRepresentativeChaosResume|TestRepresentativeQuarantine' -count=1 -v
+	$(GO) test ./internal/paracrash/ -run 'TestChaosResumeDeterminism|TestFaultTransparency|TestLibraryReplayFaultTransparency|TestHardFaults|TestRepresentativeChaosResume|TestRepresentativeQuarantine' -count=1 -v
 	$(GO) test ./internal/fuzzcamp/ -run 'TestCampaignHealsInjectedFaults|TestCampaignQuarantinesHardFaultedCells' -count=1
 	$(GO) test ./internal/obs/ ./internal/serve/ -run 'TestChaos' -count=1 -v
 

@@ -57,7 +57,6 @@ func main() {
 	fuzzFaultSeed := flag.Int64("fault-seed", 0, "fuzz: fault-injection seed (with -fault-rate)")
 	fuzzFaultRate := flag.Float64("fault-rate", 0, "fuzz: inject faults into the engine's own I/O with this probability in [0,1] (0 = off)")
 	representative := flag.Bool("representative", true, "group crash states into recovered-content equivalence classes and check one representative per class")
-	noRep := flag.Bool("no-representative", false, "check every crash state brute-force-equivalently (same as -representative=false)")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "experiments: unexpected arguments: %s\n", strings.Join(flag.Args(), " "))
@@ -79,20 +78,11 @@ func main() {
 	if *fuzzFaultRate < 0 || *fuzzFaultRate > 1 {
 		fatal(fmt.Errorf("-fault-rate must be in [0,1], got %g", *fuzzFaultRate))
 	}
-	repSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "representative" {
-			repSet = true
-		}
-	})
-	if repSet && *representative && *noRep {
-		fatal(fmt.Errorf("-representative=true conflicts with -no-representative"))
-	}
 	// opts carries the knobs into the option-taking experiments; the §6.4
 	// speedups contrast pins its own settings to measure the paper's
 	// strategies in isolation.
 	opts := core.DefaultOptions()
-	opts.DisableRepresentative = *noRep || !*representative
+	opts.DisableRepresentative = !*representative
 
 	h5p := workloads.DefaultH5Params()
 	run := func(name string) {

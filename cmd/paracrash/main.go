@@ -47,7 +47,6 @@ func main() {
 		jsonOut  = flag.Bool("json", false, "emit the report as JSON")
 
 		representative = flag.Bool("representative", true, "group crash states into recovered-content equivalence classes and check one representative per class")
-		noRep          = flag.Bool("no-representative", false, "check every crash state brute-force-equivalently (same as -representative=false)")
 
 		remote = flag.String("remote", "", "submit the run as a job to a paracrashd at this address (e.g. localhost:7077) instead of exploring locally")
 		apiKey = flag.String("api-key", "", "API key for a multi-tenant paracrashd (with -remote); also honours the PARACRASH_API_KEY environment variable")
@@ -99,17 +98,6 @@ func main() {
 	if telemetry && *sinkInterval <= 0 {
 		fatalIf(fmt.Errorf("-sink-interval must be > 0 when sinks are attached, got %v", *sinkInterval))
 	}
-	repSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "representative" {
-			repSet = true
-		}
-	})
-	if repSet && *representative && *noRep {
-		fatalIf(fmt.Errorf("-representative=true conflicts with -no-representative"))
-	}
-	repOn := *representative && !*noRep
-
 	if *list {
 		fmt.Println("file systems:", strings.Join(exps.FSNames(), ", "))
 		fmt.Print("programs:     ")
@@ -145,13 +133,13 @@ func main() {
 			K: *k, Shards: *shards,
 			Clients: *clients, Rows: *rows, Cols: *cols,
 			ResizeRows: *rrows, ResizeCols: *rcols,
-			Representative: &repOn,
+			Representative: representative,
 		}, *jsonOut, *verbose))
 	}
 
 	opts := core.DefaultOptions()
 	opts.Emulator.K = *k
-	opts.DisableRepresentative = !repOn
+	opts.DisableRepresentative = !*representative
 	switch *mode {
 	case "brute":
 		opts.Mode = core.ModeBrute

@@ -63,7 +63,6 @@ func TestCLIFlagValidation(t *testing.T) {
 		{"malformed fault rate", []string{"-fault-rate", "often"}, "invalid value"},
 		{"remote with resume", []string{"-remote", "localhost:1", "-resume", "ckpt.jsonl"}, "local-only"},
 		{"remote with fault rate", []string{"-remote", "localhost:1", "-fault-rate", "0.5"}, "local-only"},
-		{"representative conflict", []string{"-representative=true", "-no-representative"}, "-representative=true conflicts with -no-representative"},
 		{"bad sink spec", []string{"-sink", "bogus"}, "unknown sink spec"},
 		{"bad sink jsonl path", []string{"-sink", "jsonl:"}, "unknown sink spec"},
 		{"bad sink push scheme", []string{"-sink", "push:ftp://x"}, "unknown sink spec"},
@@ -84,9 +83,9 @@ func TestCLIFlagValidation(t *testing.T) {
 
 // TestCLICleanRun keeps the zero-exit path honest: a valid local run on
 // the clean ext4/CR cell exits 0, with representative exploration on
-// (the default), forced off, and off via the alias.
+// (the default) and forced off.
 func TestCLICleanRun(t *testing.T) {
-	for _, extra := range [][]string{nil, {"-no-representative"}, {"-representative=false"}} {
+	for _, extra := range [][]string{nil, {"-representative=false"}} {
 		args := append([]string{"-fs", "ext4", "-program", "CR"}, extra...)
 		code, stderr := runCLI(t, args...)
 		if code != 0 {

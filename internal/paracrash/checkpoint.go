@@ -23,10 +23,12 @@
 // next flush rewrites away. Quarantined (skipped) verdicts are never
 // journaled: a resumed run re-attempts them, since the fault that poisoned
 // them may be gone.
+//
+// ScanJournal is the one reader of the format: resume and the daemon's
+// fsck both parse journals through it.
 package paracrash
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -44,44 +46,84 @@ var (
 )
 
 // checkpointVersion is the journal format version; bump on any change to
-// ckptHeader, ckptRecord or the checkpointConfig fingerprint layout. The
-// version leads the fingerprint, so a bump also makes MergeShards refuse
-// shard reports written before it. Version 2 dropped the noinc field when
-// the legacy full-restore engine was removed.
+// JournalHeader, the journaled Verdict fields or the checkpointConfig
+// fingerprint layout. The version leads the fingerprint, so a bump also
+// makes MergeShards refuse shard reports written before it. Version 2
+// dropped the noinc field when the legacy full-restore engine was removed.
 const checkpointVersion = 2
 
 // defaultCheckpointEvery is the record-batch size between automatic
 // flushes; the journal is also flushed on every run exit path.
 const defaultCheckpointEvery = 32
 
-// ckptHeader is the journal's first line.
-type ckptHeader struct {
+// JournalHeader is a checkpoint journal's first line: the format version
+// and the verdict-relevant configuration fingerprint of the writing run.
+// Every later line is one journaled Verdict (never a skipped one).
+type JournalHeader struct {
 	Version int    `json:"version"`
 	Config  string `json:"config"`
 }
 
-// ckptRecord is one journaled crash-state verdict.
-type ckptRecord struct {
-	// Key is the crash state's front|keep identity (stateKey).
-	Key         string `json:"key"`
-	Consistent  bool   `json:"consistent,omitempty"`
-	Layer       string `json:"layer,omitempty"`
-	Consequence string `json:"consequence,omitempty"`
-	State       string `json:"state,omitempty"`
-	PFSLegalN   int    `json:"pfs_legal_n,omitempty"`
-	LibLegalN   int    `json:"lib_legal_n,omitempty"`
+// Journal is a checkpoint journal's structure as ScanJournal reads it.
+type Journal struct {
+	// Header is the parsed first line.
+	Header JournalHeader
+	// Verdicts are the intact records in file order, first occurrence of
+	// each key only.
+	Verdicts []Verdict
+	// Kept holds the raw lines, without newlines, that a clean rewrite
+	// keeps: the header line, then one line per entry of Verdicts.
+	Kept [][]byte
+	// Duplicates lists the (1-based) line numbers of records repeating an
+	// earlier key; they are dropped.
+	Duplicates []int
+	// Damaged is the line number of the first record that does not parse
+	// or has no key (0 when none). It and every line after it are dropped:
+	// a torn write is the normal way an interrupted run dies, and anything
+	// after it is untrustworthy.
+	Damaged int
+	// Lines counts the journal's lines, the header included.
+	Lines int
+	// Unterminated reports that the last line lacks its newline (a crash
+	// mid-append); appending to such a file would corrupt the last record.
+	Unterminated bool
 }
 
-// toResult converts a journaled record back into the engine's verdict form.
-func (r ckptRecord) toResult() checkResult {
-	return checkResult{
-		consistent:  r.Consistent,
-		layer:       r.Layer,
-		consequence: r.Consequence,
-		state:       r.State,
-		pfsLegalN:   r.PFSLegalN,
-		libLegalN:   r.LibLegalN,
+// ScanJournal parses checkpoint journal bytes. The only error is a header
+// line that does not parse; damage after it is reported in the Journal.
+// Callers treat an empty file as a fresh start before scanning.
+func ScanJournal(data []byte) (*Journal, error) {
+	lines := bytes.Split(data, []byte("\n"))
+	j := &Journal{}
+	if last := len(lines) - 1; len(lines[last]) == 0 {
+		lines = lines[:last]
+	} else {
+		j.Unterminated = true
 	}
+	j.Lines = len(lines)
+	if len(lines) == 0 {
+		return nil, fmt.Errorf("no header line")
+	}
+	if err := json.Unmarshal(lines[0], &j.Header); err != nil {
+		return nil, err
+	}
+	j.Kept = append(j.Kept, lines[0])
+	seen := map[string]bool{}
+	for i, line := range lines[1:] {
+		var v Verdict
+		if json.Unmarshal(line, &v) != nil || v.Key == "" {
+			j.Damaged = i + 2
+			break
+		}
+		if seen[v.Key] {
+			j.Duplicates = append(j.Duplicates, i+2)
+			continue
+		}
+		seen[v.Key] = true
+		j.Verdicts = append(j.Verdicts, v)
+		j.Kept = append(j.Kept, line)
+	}
+	return j, nil
 }
 
 // Checkpoint is a crash-state verdict journal bound to one file. Create it
@@ -98,8 +140,8 @@ type Checkpoint struct {
 	Every int
 
 	mu       sync.Mutex
-	header   ckptHeader
-	records  map[string]ckptRecord
+	header   JournalHeader
+	records  map[string]Verdict
 	order    []string // insertion order, for stable journal files
 	resumed  int
 	warnings []string
@@ -113,7 +155,7 @@ type Checkpoint struct {
 // OpenCheckpoint binds a checkpoint journal to path. The file is not read
 // until a run resumes from it, and not created until the first flush.
 func OpenCheckpoint(path string) *Checkpoint {
-	return &Checkpoint{path: path, records: map[string]ckptRecord{}}
+	return &Checkpoint{path: path, records: map[string]Verdict{}}
 }
 
 // Path returns the journal file path.
@@ -128,7 +170,7 @@ func (c *Checkpoint) Resumed() int {
 }
 
 // Warnings returns the non-fatal anomalies of the last resume (truncated
-// tail record, configuration mismatch, duplicate keys).
+// or unterminated tail record, configuration mismatch, duplicate keys).
 func (c *Checkpoint) Warnings() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -142,72 +184,58 @@ func (c *Checkpoint) Warnings() []string {
 func (c *Checkpoint) resume(config string) (map[string]checkResult, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.header = ckptHeader{Version: checkpointVersion, Config: config}
-	c.records = map[string]ckptRecord{}
+	c.header = JournalHeader{Version: checkpointVersion, Config: config}
+	c.records = map[string]Verdict{}
 	c.order = nil
 	c.resumed = 0
 	c.warnings = nil
 	c.dirty = 0
 	c.persisted = 0
 
-	f, err := os.Open(c.path)
+	data, err := os.ReadFile(c.path)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, nil
 		}
 		return nil, err
 	}
-	defer f.Close()
-
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("reading checkpoint %s: %w", c.path, err)
-		}
+	if len(data) == 0 {
 		c.warnings = append(c.warnings, "checkpoint file is empty; starting fresh")
 		return nil, nil
 	}
-	var hdr ckptHeader
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
+	j, err := ScanJournal(data)
+	if err != nil {
 		c.warnings = append(c.warnings, fmt.Sprintf("unreadable checkpoint header (%v); starting fresh", err))
 		return nil, nil
 	}
-	if hdr.Version != checkpointVersion {
-		c.warnings = append(c.warnings, fmt.Sprintf("checkpoint version %d != %d; starting fresh", hdr.Version, checkpointVersion))
+	if j.Header.Version != checkpointVersion {
+		c.warnings = append(c.warnings, fmt.Sprintf("checkpoint version %d != %d; starting fresh", j.Header.Version, checkpointVersion))
 		return nil, nil
 	}
-	if hdr.Config != config {
+	if j.Header.Config != config {
 		c.warnings = append(c.warnings, "checkpoint was written by a run with a different configuration; starting fresh")
 		return nil, nil
 	}
-
-	out := map[string]checkResult{}
-	line := 1
-	for sc.Scan() {
-		line++
-		var rec ckptRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil || rec.Key == "" {
-			// A torn tail write is the normal way an interrupted run dies;
-			// anything after it is untrustworthy.
-			c.warnings = append(c.warnings, fmt.Sprintf("checkpoint record at line %d is damaged; dropping it and the rest of the journal", line))
-			break
-		}
-		if _, dup := c.records[rec.Key]; dup {
-			c.warnings = append(c.warnings, fmt.Sprintf("duplicate checkpoint record at line %d ignored", line))
-			continue
-		}
-		c.records[rec.Key] = rec
-		c.order = append(c.order, rec.Key)
-		out[rec.Key] = rec.toResult()
+	for _, line := range j.Duplicates {
+		c.warnings = append(c.warnings, fmt.Sprintf("duplicate checkpoint record at line %d ignored", line))
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("reading checkpoint %s: %w", c.path, err)
+	switch {
+	case j.Damaged > 0:
+		c.warnings = append(c.warnings, fmt.Sprintf("checkpoint record at line %d is damaged; dropping it and the rest of the journal", j.Damaged))
+	case j.Unterminated:
+		c.warnings = append(c.warnings, "checkpoint journal ends without a newline; rewriting it on the next flush")
+	}
+	out := make(map[string]checkResult, len(j.Verdicts))
+	for _, v := range j.Verdicts {
+		c.records[v.Key] = v
+		c.order = append(c.order, v.Key)
+		out[v.Key] = v.result()
 	}
 	c.resumed = len(out)
 	// A clean load means the file is exactly header + records and appends
-	// may continue it; any warning (torn tail, duplicates, incompatible
-	// header) leaves persisted at 0 so the next flush rewrites it clean.
+	// may continue it; any warning (torn or unterminated tail, duplicates,
+	// incompatible header) leaves persisted at 0 so the next flush rewrites
+	// it clean.
 	if len(c.warnings) == 0 {
 		c.persisted = len(c.order)
 	}
@@ -226,16 +254,7 @@ func (c *Checkpoint) record(key string, r checkResult) error {
 	if _, ok := c.records[key]; ok {
 		return nil
 	}
-	rec := ckptRecord{
-		Key:         key,
-		Consistent:  r.consistent,
-		Layer:       r.layer,
-		Consequence: r.consequence,
-		State:       r.state,
-		PFSLegalN:   r.pfsLegalN,
-		LibLegalN:   r.libLegalN,
-	}
-	c.records[key] = rec
+	c.records[key] = newVerdict(key, r)
 	c.order = append(c.order, key)
 	c.dirty++
 	every := c.Every

@@ -21,8 +21,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("fresh resume = %v, %v", got, err)
 	}
 	want := map[string]checkResult{
-		"f1|k1": {consistent: true, pfsLegalN: 3, libLegalN: 2},
-		"f1|k2": {consistent: false, layer: "PFS", consequence: "data loss", state: "s", pfsLegalN: 1},
+		"f1|k1": {consistent: true, legalN: [2]int{3, 2}},
+		"f1|k2": {consistent: false, layer: "PFS", consequence: "data loss", state: "s", legalN: [2]int{1}},
 		"f2|k1": {consistent: true},
 	}
 	for k, r := range want {
@@ -239,5 +239,51 @@ func TestCheckpointConfigCoversVerdictKnobs(t *testing.T) {
 	}
 	if strings.Contains(fp, "noinc") {
 		t.Errorf("fingerprint %q still carries the removed noinc field", fp)
+	}
+}
+
+// TestCheckpointUnterminatedTailRewritten: a journal whose last record
+// lost only its newline (a crash mid-append) keeps that record, but the
+// resume warns and the next flush rewrites the file instead of appending
+// onto the unterminated line, which would fuse two records into one
+// damaged line.
+func TestCheckpointUnterminatedTailRewritten(t *testing.T) {
+	c := ckptAt(t)
+	if _, err := c.resume("cfg"); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"a|1", "a|2"} {
+		if err := c.record(k, checkResult{consistent: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(c.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(c.Path(), data[:len(data)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	c2 := OpenCheckpoint(c.Path())
+	got, err := c2.resume("cfg")
+	if err != nil || len(got) != 2 {
+		t.Fatalf("resumed %d records (err %v), want 2", len(got), err)
+	}
+	if w := c2.Warnings(); len(w) != 1 || !strings.Contains(w[0], "without a newline") {
+		t.Fatalf("warnings = %q, want one unterminated-tail warning", w)
+	}
+	if err := c2.record("a|3", checkResult{consistent: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c2.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	c3 := OpenCheckpoint(c.Path())
+	if got, err := c3.resume("cfg"); err != nil || len(got) != 3 || len(c3.Warnings()) != 0 {
+		t.Fatalf("after the rewrite: resumed %d records (err %v), warnings %q; want 3 and none", len(got), err, c3.Warnings())
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"strconv"
 	"strings"
 	"time"
@@ -343,19 +344,62 @@ type checkResult struct {
 	// state is the canonical content of the recovered state at the failing
 	// layer (empty when consistent); the bug dedup keys on it.
 	state string
-	// pfsLegalN/libLegalN record the sizes of the legal-state sets consulted
-	// by the verdict (0 when a set was not needed on the taken branch).
-	// They let a resumed run or a shard merge charge LegalPFSStates /
-	// LegalLibStates exactly as a fresh verdict would have, without
-	// recomputing the sets.
-	pfsLegalN int
-	libLegalN int
+	// legalN records, per checked layer (PFS, then library), the size of
+	// the legal-state set consulted by the verdict (0 when a set was not
+	// needed on the taken branch). It lets a resumed run or a shard merge
+	// charge LegalPFSStates / LegalLibStates exactly as a fresh verdict
+	// would have, without recomputing the sets.
+	legalN [2]int
 	// skipped marks a quarantined state: every attempt faulted, so there is
 	// no verdict. consequence then holds the quarantine reason. Skipped
 	// states charge only the arithmetic reconstruction delta of their visit
 	// (no legal-state sizes) and are reported via Report.Skipped, never as
 	// inconsistencies.
 	skipped bool
+}
+
+// layer is one checked layer of the stack: the PFS, or the I/O library on
+// top of it. Every layer is checked the same way (paper steps 4–5): its
+// recovered state against the states of replaying its preserved sets under
+// its own model. A layer carries everything that check needs.
+type layer struct {
+	// name attributes inconsistencies ("pfs" or the library name) and
+	// scopes the layer's sets in the cross-run LegalMemo.
+	name  string
+	ops   *LayerOps
+	model Model
+	// replayer re-executes ops from the initial state and returns the
+	// canonical state. An error is never cached: an injected fault aborts
+	// the enumeration, any other error drops that preserved set.
+	replayer func(ops []*trace.Op) (string, error)
+	// golden is the strict state (every op replayed), for consequences.
+	golden string
+	// Caches, deterministic per key: replays per op selection, legal-state
+	// sets per front status vector, and status vectors per crash front.
+	replays   map[string]string
+	legalSets map[string]map[string]bool
+	fronts    map[string]string
+	// gauge (legal/pfs or legal/lib) and stat (Stats.LegalPFSStates or
+	// LegalLibStates) track the largest legal set consulted.
+	gauge *obs.Gauge
+	stat  *int
+}
+
+// newLayer builds a layer with empty caches; stat points into the
+// session's Stats.
+func newLayer(name string, ops *LayerOps, model Model, replayer func([]*trace.Op) (string, error), stat *int) *layer {
+	return &layer{
+		name: name, ops: ops, model: model, replayer: replayer, stat: stat,
+		replays:   map[string]string{},
+		legalSets: map[string]map[string]bool{},
+		fronts:    map[string]string{},
+	}
+}
+
+// charge folds the size of a consulted legal set into the layer's maxima.
+func (l *layer) charge(n int) {
+	*l.stat = max(*l.stat, n)
+	l.gauge.Max(int64(n))
 }
 
 // session holds everything needed to reconstruct and check crash states.
@@ -370,38 +414,32 @@ type session struct {
 
 	g       *causality.Graph
 	emu     *Emulator
-	pfsOps  *LayerOps
-	libOps  *LayerOps
 	initial *pfs.State
+
+	// layers are the checked layers, bottom-up: the PFS, then the library
+	// when one is tested (checkResult.legalN is indexed the same way).
+	layers []*layer
 
 	clients map[string]pfs.Client
 
-	// Caches: replays and legal-state sets are deterministic per subset.
-	pfsReplayCache map[string]string
-	legalPFSCache  map[string]map[string]bool
-	libReplayCache map[string]string
-	legalLibCache  map[string]map[string]bool
-	checkCache     map[string]checkResult
+	// checkCache holds every verdict of the run per front|keep key.
+	checkCache map[string]checkResult
 
-	goldenPFS string // strict golden tree (all ops), for consequences
-	goldenLib string
-
-	// outcomeFor, when non-nil (MergeShards), resolves a front|keep key to a
-	// verdict precomputed by a shard run. check charges the stats computing
-	// it would have charged and skips the redundant reconstruction.
-	outcomeFor func(key string) (checkResult, bool)
+	// known holds verdicts judged elsewhere, keyed like checkCache: the
+	// journal of an interrupted run (resume) and the shard reports of a
+	// fleet job (MergeShards). check consults it after the class lookup and
+	// charges what judging the state here would have charged. Read-only
+	// during exploration.
+	known map[string]checkResult
 
 	// Representative exploration (representative.go): classes maps a class
 	// key to its representative's verdict, dedupKeys marks state keys whose
-	// verdict was attributed from a class representative, imageDigests
-	// memoises the shadow-pipeline recovered-content digest per kept set,
-	// and the two front-status maps memoise per-front status vectors for
-	// classKey. All are session-private, no locking.
-	classes        map[string]checkResult
-	dedupKeys      map[string]bool
-	imageDigests   map[string]string
-	frontPFSStatus map[string]string
-	frontLibStatus map[string]string
+	// verdict was attributed from a class representative, and imageDigests
+	// memoises the shadow-pipeline recovered-content digest per kept set.
+	// All are session-private, no locking.
+	classes      map[string]checkResult
+	dedupKeys    map[string]bool
+	imageDigests map[string]string
 	// memoScope namespaces this run inside opts.LegalMemo ("" = memo off).
 	memoScope string
 
@@ -410,9 +448,6 @@ type session struct {
 	// carries the arithmetic effort accounting.
 	recon *reconstructor
 
-	// resumed holds verdicts replayed from a checkpoint journal, keyed like
-	// checkCache. Read-only during exploration.
-	resumed map[string]checkResult
 	// ckpt receives every freshly computed verdict for journaling (nil when
 	// the run has no checkpoint).
 	ckpt *Checkpoint
@@ -422,18 +457,16 @@ type session struct {
 	// Observability handles, pre-resolved so the per-state hot path pays
 	// one atomic add (or nothing at all when obs is off — nil handles are
 	// no-ops). The counters mirror the Stats fields exactly.
-	obs           *obs.Run
-	ctrChecked    *obs.Counter
-	ctrDeduped    *obs.Counter
-	ctrPruned     *obs.Counter
-	ctrBad        *obs.Counter
-	ctrRestores   *obs.Counter
-	ctrReplayed   *obs.Counter
-	ctrFaults     *obs.Counter
-	ctrRetries    *obs.Counter
-	ctrSkipped    *obs.Counter
-	gaugeLegalPFS *obs.Gauge
-	gaugeLegalLib *obs.Gauge
+	obs         *obs.Run
+	ctrChecked  *obs.Counter
+	ctrDeduped  *obs.Counter
+	ctrPruned   *obs.Counter
+	ctrBad      *obs.Counter
+	ctrRestores *obs.Counter
+	ctrReplayed *obs.Counter
+	ctrFaults   *obs.Counter
+	ctrRetries  *obs.Counter
+	ctrSkipped  *obs.Counter
 }
 
 // bindObs resolves the session's metric handles against r (nil for a no-op
@@ -449,8 +482,13 @@ func (s *session) bindObs(r *obs.Run) {
 	s.ctrFaults = r.Counter("fault/injected")
 	s.ctrRetries = r.Counter("fault/retries")
 	s.ctrSkipped = r.Counter("states/skipped")
-	s.gaugeLegalPFS = r.Gauge("legal/pfs")
-	s.gaugeLegalLib = r.Gauge("legal/lib")
+	s.layers[0].gauge = r.Gauge("legal/pfs")
+	// legal/lib is registered without a library too, so -metrics keeps
+	// one shape across workloads.
+	libGauge := r.Gauge("legal/lib")
+	if len(s.layers) > 1 {
+		s.layers[1].gauge = libGauge
+	}
 }
 
 // chargeRestores charges n server restores to the stats and the counters.
@@ -550,21 +588,15 @@ func prepare(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload, op
 	s := &session{
 		fs: fs, lib: lib, opts: opts, ctx: ctx,
 		g: g, emu: emu, initial: initial,
-		pfsOps:         NewLayerOps(g, trace.LayerPFS, nil),
-		clients:        map[string]pfs.Client{},
-		pfsReplayCache: map[string]string{},
-		legalPFSCache:  map[string]map[string]bool{},
-		libReplayCache: map[string]string{},
-		legalLibCache:  map[string]map[string]bool{},
-		checkCache:     map[string]checkResult{},
-		classes:        map[string]checkResult{},
-		dedupKeys:      map[string]bool{},
-		imageDigests:   map[string]string{},
-		frontPFSStatus: map[string]string{},
-		frontLibStatus: map[string]string{},
+		clients:      map[string]pfs.Client{},
+		checkCache:   map[string]checkResult{},
+		classes:      map[string]checkResult{},
+		dedupKeys:    map[string]bool{},
+		imageDigests: map[string]string{},
 	}
+	s.layers = []*layer{newLayer("pfs", NewLayerOps(g, trace.LayerPFS, nil), opts.PFSModel, s.replayClientOps, &s.stats.LegalPFSStates)}
 	if lib != nil {
-		s.libOps = NewLayerOps(g, trace.LayerIOLib, lib.IsLibOp)
+		s.layers = append(s.layers, newLayer(lib.Name(), NewLayerOps(g, trace.LayerIOLib, lib.IsLibOp), opts.LibModel, lib.Replay, &s.stats.LegalLibStates))
 	}
 	if opts.LegalMemo != nil {
 		s.memoScope = legalMemoScope(fs, w.Name(), ops, opts)
@@ -580,46 +612,43 @@ func prepare(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload, op
 	opts.Obs.Counter("trace/ops").Add(int64(len(ops)))
 	opts.Obs.Counter("trace/lowermost").Add(int64(len(emu.Universe)))
 
-	if n := s.pfsOps.Len(); n > opts.MaxLayerOps {
+	if n := s.layers[0].ops.Len(); n > opts.MaxLayerOps {
 		return nil, fmt.Errorf("paracrash: %d PFS-layer ops exceed MaxLayerOps=%d (preserved-set enumeration is exponential)", n, opts.MaxLayerOps)
 	}
-	if s.libOps != nil && s.libOps.Len() > opts.MaxLayerOps {
-		return nil, fmt.Errorf("paracrash: %d library-layer ops exceed MaxLayerOps=%d", s.libOps.Len(), opts.MaxLayerOps)
+	if len(s.layers) > 1 && s.layers[1].ops.Len() > opts.MaxLayerOps {
+		return nil, fmt.Errorf("paracrash: %d library-layer ops exceed MaxLayerOps=%d", s.layers[1].ops.Len(), opts.MaxLayerOps)
 	}
 
 	// Resolve every PFS-layer client proc up front: a malformed proc name
 	// (one that does not parse as "<name>/<rank>") fails the run loudly
 	// here instead of silently replaying through client 0 deep inside
 	// legal-state enumeration.
-	for _, op := range s.pfsOps.Ops {
+	for _, op := range s.layers[0].ops.Ops {
 		if _, err := s.client(op.Proc); err != nil {
 			return nil, err
 		}
 	}
 
-	// Golden (strict) states for consequence reporting. The replay passes
-	// through faultable mount paths, so it gets the same bounded retry as a
+	// Golden (strict) states for consequence reporting. A replay may pass
+	// through faultable paths, so it gets the same bounded retry as a
 	// crash-state check; a fault that never heals fails the run here — the
-	// engine cannot judge anything without the golden state.
-	allPFS := make([]int, s.pfsOps.Len())
-	for i := range allPFS {
-		allPFS[i] = i
-	}
-	if err := s.withRetry(func() error {
-		st, err := s.replayPFS(allPFS)
-		if err == nil {
-			s.goldenPFS = st
+	// engine cannot judge anything without the golden state. A genuine
+	// replay failure leaves the golden state empty.
+	for _, l := range s.layers {
+		all := make([]int, l.ops.Len())
+		for i := range all {
+			all[i] = i
 		}
-		return err
-	}); err != nil {
-		return nil, fmt.Errorf("paracrash: golden replay: %w", err)
-	}
-	if s.libOps != nil {
-		allLib := make([]int, s.libOps.Len())
-		for i := range allLib {
-			allLib[i] = i
+		if err := s.withRetry("panic", func() error {
+			st, err := l.replay(all)
+			if faultinject.Is(err) {
+				return err
+			}
+			l.golden = st
+			return nil
+		}); err != nil {
+			return nil, fmt.Errorf("paracrash: golden replay: %w", err)
 		}
-		s.goldenLib, _ = s.replayLib(allLib)
 	}
 	stopGraph()
 
@@ -644,7 +673,10 @@ func (s *session) resumeCheckpoint(config string) error {
 	if err != nil {
 		return fmt.Errorf("paracrash: resume: %w", err)
 	}
-	s.resumed = resumed
+	if s.known == nil {
+		s.known = map[string]checkResult{}
+	}
+	maps.Copy(s.known, resumed)
 	s.ckpt = s.opts.Checkpoint
 	s.opts.Obs.Counter("resume/verdicts").Add(int64(len(resumed)))
 	s.opts.Obs.Counter("resume/warnings").Add(int64(len(s.opts.Checkpoint.Warnings())))
@@ -701,12 +733,12 @@ func (s *session) visitOrder(states []CrashState) []int {
 
 // runPipeline is the exploration pipeline behind RunContext and
 // MergeShards: plan (generate and order the crash states), then judge them
-// in one ordered walk. lookup, when non-nil, resolves crash-state keys to
-// verdicts judged elsewhere (the shard runs of a fleet job); the walk is
-// then the merge — same visiting order, pruning, class attribution and
-// charging — satisfying checks from the lookup and computing only what it
-// misses, so the report stays byte-identical to a standalone run.
-func runPipeline(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload, opts Options, lookup func(string) (checkResult, bool)) (*Report, error) {
+// in one ordered walk. known, when non-nil, holds verdicts judged elsewhere
+// (the shard runs of a fleet job); the walk is then the merge — same
+// visiting order, pruning, class attribution and charging — taking checks
+// from known and computing only what it misses, so the report stays
+// byte-identical to a standalone run.
+func runPipeline(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload, opts Options, known map[string]checkResult) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -716,6 +748,7 @@ func runPipeline(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload
 		return nil, err
 	}
 	g := s.g
+	s.known = known
 
 	// Checkpoint/resume: load previously journaled verdicts (if any) and
 	// keep journaling from here on. The journal is flushed on every exit
@@ -730,7 +763,6 @@ func runPipeline(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload
 			}
 		}()
 	}
-	s.outcomeFor = lookup
 
 	// Phase 3: crash emulation + checking.
 	states := s.generate()
@@ -795,9 +827,11 @@ func runPipeline(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload
 				Key: StateDigest(res.layer, res.state),
 			})
 		}
-		lo := s.pfsOps
-		if res.layer != "pfs" && s.libOps != nil {
-			lo = s.libOps
+		lo := s.layers[0].ops
+		for _, l := range s.layers {
+			if l.name == res.layer {
+				lo = l.ops
+			}
 		}
 		for _, pr := range classifier.ClassifyState(cs, lo, res.state) {
 			bugs.Add(pr, res.layer, fs.Name(), w.Name(), res.consequence)
@@ -805,7 +839,7 @@ func runPipeline(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload
 	}
 
 	phase := obs.PhaseExplore
-	if lookup != nil {
+	if known != nil {
 		phase = obs.PhaseMerge
 	}
 	stopWalk := opts.Obs.Phase(phase)
@@ -877,64 +911,40 @@ func (s *session) check(cs CrashState) checkResult {
 	if s.representative() {
 		ckey = s.classKey(cs)
 	}
-	if r, ok := s.resumed[key]; ok {
-		// The verdict was journaled by a previous (interrupted) run; charge
-		// what computing it would have charged and skip the work. Only
-		// representatives are ever journaled, so re-record the class: the
-		// resumed run then deduplicates members exactly like a fresh one.
-		s.chargeOutcome(cs, r)
-		s.checkCache[key] = r
-		s.recordClass(ckey, r)
+	if r, ok := s.classes[ckey]; ok {
+		// A state of the same equivalence class already carries the
+		// verdict: attribute it without reconstructing. Members are not
+		// journaled — on resume they re-attribute from the replayed
+		// representative, keeping the journal one record per class.
+		s.attributeClass(key, r)
 		return r
 	}
-	if ckey != "" {
-		if r, ok := s.classes[ckey]; ok {
-			// A state of the same equivalence class already carries the
-			// verdict: attribute it without reconstructing. Members are not
-			// journaled — on resume they re-attribute from the replayed
-			// representative, keeping the journal one record per class.
-			s.attributeClass(key, r)
-			return r
-		}
-	}
-	if s.outcomeFor != nil {
-		if r, ok := s.outcomeFor(key); ok {
-			// A shard run already reconstructed and judged this state;
-			// charge exactly what judging it here would have charged.
-			s.chargeOutcome(cs, r)
-			s.checkCache[key] = r
-			s.recordClass(ckey, r)
-			s.journal(key, r)
-			return r
-		}
-	}
 	// Charge the arithmetic O(delta) cost of the visit up front: the charge
-	// is a pure function of the visit sequence, so faulted retries — and
-	// states that end up quarantined — report exactly the effort an
-	// unfaulted walk would.
+	// is a pure function of the visit sequence, so faulted retries, states
+	// that end up quarantined and verdicts judged elsewhere all report
+	// exactly the effort an unfaulted walk would.
 	s.recon.chargeState(cs)
-	r := s.checkWithRetry(cs)
+	r, ok := s.known[key]
+	switch {
+	case !ok:
+		r = s.checkWithRetry(cs)
+	case r.skipped:
+		s.ctrSkipped.Inc()
+	default:
+		// Judged elsewhere (an interrupted run's journal, a shard worker):
+		// charge the legal-set sizes judging it here would have charged.
+		// Recording the class below lets members attribute exactly as in a
+		// fresh run.
+		s.chargeLegal(r)
+	}
 	s.checkCache[key] = r
 	s.recordClass(ckey, r)
 	s.journal(key, r)
 	return r
 }
 
-// chargeOutcome charges the stats judging cs would have charged, given its
-// already-computed result: the arithmetic walk advances for every charged
-// visit — including quarantined ones, whose reconstruction was attempted —
-// so resumed and merged runs replay identical charge sequences.
-func (s *session) chargeOutcome(cs CrashState, r checkResult) {
-	s.recon.chargeState(cs)
-	if r.skipped {
-		s.ctrSkipped.Inc()
-		return
-	}
-	s.chargeLegal(r)
-}
-
-// journal records a freshly computed verdict in the checkpoint (no-op
-// without one). Journal write errors are counted, never
+// journal records a verdict in the checkpoint (no-op without one, or when
+// the journal already holds it). Journal write errors are counted, never
 // fatal — losing checkpoint durability must not take the run down.
 func (s *session) journal(key string, r checkResult) {
 	if s.ckpt == nil {
@@ -948,56 +958,34 @@ func (s *session) journal(key string, r checkResult) {
 // checkWithRetry runs reconstruct+verdict attempts under the retry policy.
 // Attempts charge nothing (check already paid the arithmetic delta), so a
 // state that eventually succeeds charges exactly what an unfaulted run
-// would have — the basis of the fault-transparency guarantee.
+// would have — the basis of the fault-transparency guarantee. bring leaves
+// faulted servers marked dirty for the next attempt to re-restore, and the
+// only cluster mutation the verdict makes — recovery — marks the mutated
+// servers dirty too, so a failed attempt needs no rollback.
 func (s *session) checkWithRetry(cs CrashState) checkResult {
-	att := s.opts.Retry.attempts()
-	var lastErr error
-	for a := 0; a < att; a++ {
-		if a > 0 {
-			s.ctrRetries.Inc()
-			time.Sleep(s.opts.Retry.backoffAt(a))
+	var r checkResult
+	err := s.withRetry("panic during verdict", func() error {
+		if err := s.recon.bring(cs); err != nil {
+			return err
 		}
-		r, err := s.attemptCheck(cs)
-		if err == nil {
-			return r
-		}
-		if faultinject.Is(err) {
-			s.ctrFaults.Inc()
-		}
-		lastErr = err
+		var err error
+		r, err = s.verdict(cs)
+		return err
+	})
+	if err == nil {
+		return r
 	}
 	s.ctrSkipped.Inc()
 	return checkResult{
 		skipped:     true,
-		consequence: fmt.Sprintf("quarantined after %d attempts: %v", att, lastErr),
+		consequence: fmt.Sprintf("quarantined after %d attempts: %v", s.opts.Retry.attempts(), err),
 	}
 }
 
-// attemptCheck performs one reconstruct+verdict attempt, quarantining
-// panics anywhere in the backend into errors. bring leaves faulted servers
-// marked dirty for the next attempt to re-restore, and the only cluster
-// mutation the verdict makes — recovery — marks the mutated servers dirty
-// too, so a failed attempt needs no rollback.
-func (s *session) attemptCheck(cs CrashState) (res checkResult, err error) {
-	defer func() {
-		if pv := recover(); pv != nil {
-			res = checkResult{}
-			if fe, ok := faultinject.FromPanic(pv); ok {
-				err = fe
-			} else {
-				err = fmt.Errorf("panic during verdict: %v", pv)
-			}
-		}
-	}()
-	if err := s.recon.bring(cs); err != nil {
-		return checkResult{}, err
-	}
-	return s.verdict(cs)
-}
-
-// withRetry runs fn under the retry policy, quarantining panics; used for
-// faultable work outside the per-state path (the golden replay).
-func (s *session) withRetry(fn func() error) error {
+// withRetry runs fn under the retry policy and returns the last attempt's
+// error. Panics anywhere in the backend become errors: an injected one its
+// fault, any other one "<panicMsg>: <value>".
+func (s *session) withRetry(panicMsg string, fn func() error) error {
 	att := s.opts.Retry.attempts()
 	var lastErr error
 	for a := 0; a < att; a++ {
@@ -1011,7 +999,7 @@ func (s *session) withRetry(fn func() error) error {
 					if fe, ok := faultinject.FromPanic(p); ok {
 						err = fe
 					} else {
-						err = fmt.Errorf("panic: %v", p)
+						err = fmt.Errorf("%s: %v", panicMsg, p)
 					}
 				}
 			}()
@@ -1031,10 +1019,9 @@ func (s *session) withRetry(fn func() error) error {
 // chargeLegal folds a verdict's recorded legal-set sizes into the stats
 // (idempotent: the maxima only grow).
 func (s *session) chargeLegal(r checkResult) {
-	s.stats.LegalPFSStates = max(s.stats.LegalPFSStates, r.pfsLegalN)
-	s.stats.LegalLibStates = max(s.stats.LegalLibStates, r.libLegalN)
-	s.gaugeLegalPFS.Max(int64(r.pfsLegalN))
-	s.gaugeLegalLib.Max(int64(r.libLegalN))
+	for i, l := range s.layers {
+		l.charge(r.legalN[i])
+	}
 }
 
 // verdict checks the current (already reconstructed) cluster state against
@@ -1065,33 +1052,35 @@ func (s *session) judge(cs CrashState, o *recoveredOutcome) (checkResult, error)
 		return checkResult{layer: "pfs", consequence: "mount failed after fsck: " + o.mountErr, state: "UNMOUNTABLE"}, nil
 	}
 	tree, treeStr := o.tree, o.treeStr
-
-	pfsStatus := s.pfsOps.StatusAgainst(cs.Front)
+	pfsL := s.layers[0]
 
 	if s.lib == nil {
-		legal, err := s.legalPFS(cs, pfsStatus)
+		legal, err := s.legal(pfsL, cs)
 		if err != nil {
 			return checkResult{}, err
 		}
+		n := [2]int{len(legal)}
 		if legal[treeStr] {
-			return checkResult{consistent: true, pfsLegalN: len(legal)}, nil
+			return checkResult{consistent: true, legalN: n}, nil
 		}
-		return checkResult{layer: "pfs", consequence: s.describePFS(treeStr), state: treeStr, pfsLegalN: len(legal)}, nil
+		return checkResult{layer: "pfs", consequence: s.describePFS(treeStr), state: treeStr, legalN: n}, nil
 	}
 
 	// Top-down: library first.
-	libStatus := s.libOps.StatusAgainst(cs.Front)
-	legalLib := s.legalLib(cs, libStatus)
-	libN := len(legalLib)
+	legalLib, err := s.legal(s.layers[1], cs)
+	if err != nil {
+		return checkResult{}, err
+	}
+	n := [2]int{1: len(legalLib)}
 
 	libState, lerr := s.lib.StateFromTree(tree)
 	if lerr == nil && legalLib[libState] {
-		return checkResult{consistent: true, libLegalN: libN}, nil
+		return checkResult{consistent: true, legalN: n}, nil
 	}
 	// Run the library's recovery tools before declaring inconsistency.
 	if fixed, changed := s.lib.RecoverTree(tree); changed {
 		if st, err2 := s.lib.StateFromTree(fixed); err2 == nil && legalLib[st] {
-			return checkResult{consistent: true, libLegalN: libN}, nil
+			return checkResult{consistent: true, legalN: n}, nil
 		}
 	}
 
@@ -1102,29 +1091,27 @@ func (s *session) judge(cs CrashState, o *recoveredOutcome) (checkResult, error)
 		consequence = fmt.Sprintf("library state unreadable: %v", lerr)
 		libKey = "CORRUPT: " + lerr.Error()
 	} else {
-		consequence = s.describeLib(libState)
+		consequence = "library state matches no legal state (" + firstLineDiff(libState, s.layers[1].golden) + ")"
 	}
-	legalPFS, err := s.legalPFS(cs, pfsStatus)
+	legalPFS, err := s.legal(pfsL, cs)
 	if err != nil {
 		return checkResult{}, err
 	}
+	n[0] = len(legalPFS)
 	if legalPFS[treeStr] {
-		return checkResult{layer: s.lib.Name(), consequence: consequence, state: libKey, pfsLegalN: len(legalPFS), libLegalN: libN}, nil
+		return checkResult{layer: s.lib.Name(), consequence: consequence, state: libKey, legalN: n}, nil
 	}
-	return checkResult{layer: "pfs", consequence: consequence + " (PFS state also illegal)", state: treeStr, pfsLegalN: len(legalPFS), libLegalN: libN}, nil
+	return checkResult{layer: "pfs", consequence: consequence + " (PFS state also illegal)", state: treeStr, legalN: n}, nil
 }
 
 // describePFS summarises how the recovered tree differs from the golden
 // (full-execution) tree.
 func (s *session) describePFS(treeStr string) string {
-	if treeStr == s.goldenPFS {
+	golden := s.layers[0].golden
+	if treeStr == golden {
 		return "state equals the no-crash state but violates the model"
 	}
-	return "recovered PFS state matches no legal state (" + firstLineDiff(treeStr, s.goldenPFS) + ")"
-}
-
-func (s *session) describeLib(state string) string {
-	return "library state matches no legal state (" + firstLineDiff(state, s.goldenLib) + ")"
+	return "recovered PFS state matches no legal state (" + firstLineDiff(treeStr, golden) + ")"
 }
 
 // firstLineDiff reports the first differing line between two canonical
@@ -1146,66 +1133,41 @@ func firstLineDiff(a, b string) string {
 	return "no textual diff"
 }
 
-// legalPFS returns the set of legal PFS tree serialisations for the front.
-// An injected fault mid-enumeration aborts without caching: a partial legal
-// set would make a healed retry judge against too few states.
-func (s *session) legalPFS(cs CrashState, status []Status) (map[string]bool, error) {
-	key := statusKey(status)
-	if set, ok := s.legalPFSCache[key]; ok {
+// legal returns the layer's legal states for the crash front: the states
+// of replaying each of its preserved sets under the layer's model. An
+// injected fault aborts the enumeration uncached — a partial set would make
+// a healed retry judge against too few states — while a genuine replay
+// failure only drops that preserved set (under weak models a set may lack
+// an op's prerequisites).
+func (s *session) legal(l *layer, cs CrashState) (map[string]bool, error) {
+	key := l.frontStatus(cs.Front)
+	set, ok := l.legalSets[key]
+	if ok {
 		return set, nil
 	}
-	if set, ok := s.memoLookup("pfs", s.opts.PFSModel, key); ok {
-		s.legalPFSCache[key] = set
-		s.stats.LegalPFSStates = max(s.stats.LegalPFSStates, len(set))
-		s.gaugeLegalPFS.Max(int64(len(set)))
-		return set, nil
-	}
-	set := map[string]bool{}
-	var rerr error
-	truncated := s.pfsOps.PreservedSets(s.opts.PFSModel, status, s.opts.MaxLegalStates, func(sel []int) bool {
-		st, err := s.replayPFS(sel)
-		if err != nil {
-			rerr = err
-			return false
+	if set, ok = s.memoLookup(l.name, l.model, key); !ok {
+		set = map[string]bool{}
+		var ferr error
+		truncated := l.ops.PreservedSets(l.model, l.ops.StatusAgainst(cs.Front), s.opts.MaxLegalStates, func(sel []int) bool {
+			st, err := l.replay(sel)
+			if faultinject.Is(err) {
+				ferr = err
+				return false
+			}
+			if err == nil {
+				set[st] = true
+			}
+			return true
+		})
+		if ferr != nil {
+			return nil, ferr
 		}
-		set[st] = true
-		return true
-	})
-	if rerr != nil {
-		return nil, rerr
+		s.countTruncated(truncated)
+		s.memoStore(l.name, l.model, key, set)
 	}
-	s.countTruncated(truncated)
-	s.legalPFSCache[key] = set
-	s.memoStore("pfs", s.opts.PFSModel, key, set)
-	s.stats.LegalPFSStates = max(s.stats.LegalPFSStates, len(set))
-	s.gaugeLegalPFS.Max(int64(len(set)))
+	l.legalSets[key] = set
+	l.charge(len(set))
 	return set, nil
-}
-
-// legalLib returns the set of legal library logical states for the front.
-func (s *session) legalLib(cs CrashState, status []Status) map[string]bool {
-	key := statusKey(status)
-	if set, ok := s.legalLibCache[key]; ok {
-		return set
-	}
-	if set, ok := s.memoLookup("lib/"+s.lib.Name(), s.opts.LibModel, key); ok {
-		s.legalLibCache[key] = set
-		s.stats.LegalLibStates = max(s.stats.LegalLibStates, len(set))
-		s.gaugeLegalLib.Max(int64(len(set)))
-		return set
-	}
-	set := map[string]bool{}
-	s.countTruncated(s.libOps.PreservedSets(s.opts.LibModel, status, s.opts.MaxLegalStates, func(sel []int) bool {
-		if st, err := s.replayLib(sel); err == nil {
-			set[st] = true
-		}
-		return true
-	}))
-	s.legalLibCache[key] = set
-	s.memoStore("lib/"+s.lib.Name(), s.opts.LibModel, key, set)
-	s.stats.LegalLibStates = max(s.stats.LegalLibStates, len(set))
-	s.gaugeLegalLib.Max(int64(len(set)))
-	return set
 }
 
 // countTruncated records a legal-state enumeration that MaxLegalStates cut
@@ -1225,23 +1187,37 @@ func statusKey(status []Status) string {
 	return string(b)
 }
 
-// replayPFS re-executes the selected PFS-layer client ops on the initial
-// snapshot and returns the resulting tree serialisation. Only injected
-// mount faults surface as errors (and are never cached); a genuinely
-// unmountable replay is a legitimate legal state.
-func (s *session) replayPFS(sel []int) (string, error) {
+// replay re-executes a selection of the layer's ops (positions in
+// l.ops.Ops) through its replayer, caching the state per selection.
+func (l *layer) replay(sel []int) (string, error) {
 	key := intsKey(sel)
-	if st, ok := s.pfsReplayCache[key]; ok {
+	if st, ok := l.replays[key]; ok {
 		return st, nil
 	}
+	ops := make([]*trace.Op, len(sel))
+	for i, pos := range sel {
+		ops[i] = l.ops.Ops[pos]
+	}
+	st, err := l.replayer(ops)
+	if err != nil {
+		return "", err
+	}
+	l.replays[key] = st
+	return st, nil
+}
+
+// replayClientOps is the PFS layer's replayer: it re-executes client ops
+// on the initial snapshot and returns the resulting tree serialisation.
+// Only injected mount faults surface as errors; a genuinely unmountable
+// replay is a legitimate legal state.
+func (s *session) replayClientOps(ops []*trace.Op) (string, error) {
 	rec := s.fs.Recorder()
 	rec.SetEnabled(false)
 	s.fs.Restore(s.initial)
 	// The replay mutates the whole cluster; the walk's physical tracking
 	// must not trust any server afterwards.
 	s.recon.markAllDirty()
-	for _, pos := range sel {
-		op := s.pfsOps.Ops[pos]
+	for _, op := range ops {
 		c, err := s.client(op.Proc)
 		if err != nil {
 			// Every PFS-layer proc was validated when the session was
@@ -1252,32 +1228,14 @@ func (s *session) replayPFS(sel []int) (string, error) {
 		// the op, matching crash semantics.
 		_ = pfs.ReplayClientOp(c, op)
 	}
-	st := "UNMOUNTABLE"
-	if tree, err := s.fs.Mount(); err == nil {
-		st = tree.Serialize()
-	} else if faultinject.Is(err) {
+	tree, err := s.fs.Mount()
+	if faultinject.Is(err) {
 		return "", err
 	}
-	s.pfsReplayCache[key] = st
-	return st, nil
-}
-
-// replayLib re-executes the selected library ops via the library's replayer.
-func (s *session) replayLib(sel []int) (string, error) {
-	key := intsKey(sel)
-	if st, ok := s.libReplayCache[key]; ok {
-		return st, nil
-	}
-	ops := make([]*trace.Op, len(sel))
-	for i, pos := range sel {
-		ops[i] = s.libOps.Ops[pos]
-	}
-	st, err := s.lib.Replay(ops)
 	if err != nil {
-		return "", err
+		return "UNMOUNTABLE", nil
 	}
-	s.libReplayCache[key] = st
-	return st, nil
+	return tree.Serialize(), nil
 }
 
 func intsKey(sel []int) string {
@@ -1303,11 +1261,4 @@ func (s *session) visitOrdered(states []CrashState, skip func(CrashState) bool, 
 			handle(cs)
 		}
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

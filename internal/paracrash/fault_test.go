@@ -11,6 +11,7 @@ import (
 	"paracrash/internal/exps"
 	"paracrash/internal/faultinject"
 	"paracrash/internal/paracrash"
+	"paracrash/internal/trace"
 	"paracrash/internal/workloads"
 )
 
@@ -284,4 +285,65 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(b)
+}
+
+// faultOnceLibrary wraps a Library so that its fault-th Replay call fails
+// with an injected fault. Every preserved selection is replayed once and
+// then cached, so the fault hits exactly one selection, and a retry
+// replays that selection again.
+type faultOnceLibrary struct {
+	paracrash.Library
+	fault, calls int
+}
+
+func (l *faultOnceLibrary) Replay(ops []*trace.Op) (string, error) {
+	l.calls++
+	if l.calls == l.fault {
+		return "", &faultinject.Error{Kind: faultinject.KindErr, Site: "lib/replay", Key: itoa(len(ops))}
+	}
+	return l.Library.Replay(ops)
+}
+
+// TestLibraryReplayFaultTransparency: an injected fault in the library's
+// replayer is transparent like any other — the legal-state enumeration
+// aborts uncached, the retry re-enumerates, and the report equals the
+// unfaulted run's. It faults each replay call of the run in turn, the
+// golden replay (call 1) included. A checker that swallows the fault
+// instead loses the golden library state, which every library consequence
+// is diffed against, or caches a smaller legal set (TestLegalFaultAbortsUncached
+// pins that rule on its own).
+func TestLibraryReplayFaultTransparency(t *testing.T) {
+	for _, fsName := range []string{"beegfs", "lustre"} {
+		t.Run(fsName, func(t *testing.T) {
+			prog, err := exps.ProgramByName("H5-rename")
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(fault int) (string, int) {
+				w, lib := prog.Make(workloads.DefaultH5Params())
+				fs, err := exps.NewFS(fsName, exps.ConfigFor(fsName), trace.NewRecorder())
+				if err != nil {
+					t.Fatal(err)
+				}
+				wrapped := &faultOnceLibrary{Library: lib, fault: fault}
+				opts := paracrash.DefaultOptions()
+				opts.Retry = paracrash.RetryPolicy{Backoff: time.Microsecond}
+				rep, err := paracrash.Run(fs, wrapped, w, opts)
+				if err != nil {
+					t.Fatalf("fault at replay %d: %v", fault, err)
+				}
+				return exps.ReportFingerprint(rep), wrapped.calls
+			}
+			base, calls := run(0)
+			if calls < 2 {
+				t.Fatalf("the run replayed the library only %d times", calls)
+			}
+			for fault := 1; fault <= calls; fault++ {
+				if got, _ := run(fault); got != base {
+					t.Fatalf("fault at library replay %d of %d changed the report:\n--- unfaulted ---\n%s--- faulted ---\n%s", fault, calls, base, got)
+				}
+			}
+			t.Logf("%d library replays, each faulted once without changing the report", calls)
+		})
+	}
 }

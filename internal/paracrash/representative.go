@@ -64,11 +64,9 @@ func (s *session) classKey(cs CrashState) string {
 	}
 	var b strings.Builder
 	b.WriteString(d)
-	b.WriteByte('|')
-	b.WriteString(s.frontStatus(cs.Front, s.pfsOps, s.frontPFSStatus))
-	if s.libOps != nil {
+	for _, l := range s.layers {
 		b.WriteByte('|')
-		b.WriteString(s.frontStatus(cs.Front, s.libOps, s.frontLibStatus))
+		b.WriteString(l.frontStatus(cs.Front))
 	}
 	return b.String()
 }
@@ -94,7 +92,7 @@ func (s *session) crashDigest(cs CrashState) (string, error) {
 		return d, nil
 	}
 	var content string
-	err := s.withRetry(func() error {
+	err := s.withRetry("panic", func() error {
 		if berr := s.recon.bring(cs); berr != nil {
 			return berr
 		}
@@ -120,15 +118,16 @@ func (s *session) crashDigest(cs CrashState) (string, error) {
 	return d, nil
 }
 
-// frontStatus memoises a layer's status vector per crash front (many states
-// share a front, and StatusAgainst walks every descendant list).
-func (s *session) frontStatus(front causality.Bitset, lo *LayerOps, memo map[string]string) string {
+// frontStatus memoises the layer's status-vector key per crash front (many
+// states share a front, and StatusAgainst walks every descendant list).
+// classKey and legal share the memo.
+func (l *layer) frontStatus(front causality.Bitset) string {
 	fk := front.Key()
-	if v, ok := memo[fk]; ok {
+	if v, ok := l.fronts[fk]; ok {
 		return v
 	}
-	v := statusKey(lo.StatusAgainst(front))
-	memo[fk] = v
+	v := statusKey(l.ops.StatusAgainst(front))
+	l.fronts[fk] = v
 	return v
 }
 

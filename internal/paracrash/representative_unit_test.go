@@ -34,15 +34,14 @@ func digestSession(t *testing.T) (*session, []CrashState) {
 	emu := NewEmulator(g, fs.PersistConfig())
 	s := &session{
 		fs: fs, g: g, emu: emu, initial: initial,
-		opts:           DefaultOptions(),
-		pfsOps:         NewLayerOps(g, trace.LayerPFS, nil),
-		checkCache:     map[string]checkResult{},
-		classes:        map[string]checkResult{},
-		dedupKeys:      map[string]bool{},
-		imageDigests:   map[string]string{},
-		frontPFSStatus: map[string]string{},
-		frontLibStatus: map[string]string{},
+		opts:         DefaultOptions(),
+		clients:      map[string]pfs.Client{},
+		checkCache:   map[string]checkResult{},
+		classes:      map[string]checkResult{},
+		dedupKeys:    map[string]bool{},
+		imageDigests: map[string]string{},
 	}
+	s.layers = []*layer{newLayer("pfs", NewLayerOps(g, trace.LayerPFS, nil), s.opts.PFSModel, s.replayClientOps, &s.stats.LegalPFSStates)}
 	recon, err := newReconstructor(s)
 	if err != nil {
 		t.Fatal(err)

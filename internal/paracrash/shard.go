@@ -15,7 +15,8 @@
 // MergeShards is the coordinator side: it validates that the shard reports
 // cover the partition and were produced under the same verdict-relevant
 // configuration, then replays the full serial pipeline resolving checks
-// through the collected verdicts (the session's outcomeFor seam),
+// through the collected verdicts (the session's known-verdict seam, which
+// a checkpoint resume fills from the journal),
 // computing locally only what no shard judged (classifier probes outside
 // the generated set). The resulting report is byte-identical to RunContext
 // — same Stats, same state keys, same bug set — which is what lets a fleet
@@ -69,7 +70,9 @@ func (sp ShardSpec) indices(n int) []int {
 
 // Verdict is one crash-state verdict in wire form: checkResult plus the
 // state's front|keep key, serializable so worker processes can ship their
-// judgements to the coordinator through the store.
+// judgements to the coordinator through the store. It is also the
+// checkpoint journal's record (see JournalHeader), where Skipped never
+// appears.
 type Verdict struct {
 	// Key is the crash state's front|keep identity (the check-cache key).
 	Key         string `json:"key"`
@@ -94,8 +97,8 @@ func newVerdict(key string, r checkResult) Verdict {
 		Layer:       r.layer,
 		Consequence: r.consequence,
 		State:       r.state,
-		PFSLegalN:   r.pfsLegalN,
-		LibLegalN:   r.libLegalN,
+		PFSLegalN:   r.legalN[0],
+		LibLegalN:   r.legalN[1],
 		Skipped:     r.skipped,
 	}
 }
@@ -107,8 +110,7 @@ func (v Verdict) result() checkResult {
 		layer:       v.Layer,
 		consequence: v.Consequence,
 		state:       v.State,
-		pfsLegalN:   v.PFSLegalN,
-		libLegalN:   v.LibLegalN,
+		legalN:      [2]int{v.PFSLegalN, v.LibLegalN},
 		skipped:     v.Skipped,
 	}
 }
@@ -265,9 +267,5 @@ func MergeShards(ctx context.Context, fs pfs.FileSystem, lib Library, w Workload
 			return nil, fmt.Errorf("paracrash: merge: missing report for shard %d/%d", i, count)
 		}
 	}
-	lookup := func(key string) (checkResult, bool) {
-		r, ok := verdicts[key]
-		return r, ok
-	}
-	return runPipeline(ctx, fs, lib, w, opts, lookup)
+	return runPipeline(ctx, fs, lib, w, opts, verdicts)
 }

@@ -21,6 +21,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -29,6 +30,7 @@ import (
 	"strings"
 	"time"
 
+	"paracrash/internal/paracrash"
 	"paracrash/internal/statefs"
 )
 
@@ -267,8 +269,9 @@ func (f *fsck) checkFile(name string) {
 	}
 }
 
-// checkJournal validates a checkpoint journal's line structure: a JSON
-// header, then JSON records with unique non-empty keys, newline-terminated.
+// checkJournal validates a checkpoint journal's line structure through the
+// engine's own journal reader: a JSON header, then JSON records with unique
+// non-empty keys, newline-terminated.
 func (f *fsck) checkJournal(name string) {
 	path := filepath.Join(f.dir, name)
 	data, err := os.ReadFile(path)
@@ -279,51 +282,28 @@ func (f *fsck) checkJournal(name string) {
 	if len(data) == 0 {
 		return // an empty journal is a fresh start, not damage
 	}
-	lines := strings.Split(string(data), "\n")
-	// A well-formed journal ends with "\n", so the final split element is
-	// empty; anything else is a torn tail.
-	torn := lines[len(lines)-1] != ""
-	if !torn {
-		lines = lines[:len(lines)-1]
-	}
-	var hdr map[string]any
-	if len(lines) == 0 || json.Unmarshal([]byte(lines[0]), &hdr) != nil {
+	j, err := paracrash.ScanJournal(data)
+	if err != nil {
 		f.quarantine(name, ProblemUnreadableJournal, "journal header line does not parse")
 		return
 	}
-	seen := map[string]bool{}
-	keep := []string{lines[0]}
-	dups := 0
-	for i, line := range lines[1:] {
-		var rec struct {
-			Key string `json:"key"`
-		}
-		if json.Unmarshal([]byte(line), &rec) != nil || rec.Key == "" {
-			// Interior damage: everything from here on is untrustworthy,
-			// exactly like resume's drop-the-rest rule.
-			torn = true
-			f.problem(name, ProblemTornJournalTail,
-				fmt.Sprintf("record at line %d is damaged; truncating it and the %d line(s) after it", i+2, len(lines[1:])-i-1),
-				ActionRewritten)
-			break
-		}
-		if seen[rec.Key] {
-			dups++
-			continue
-		}
-		seen[rec.Key] = true
-		keep = append(keep, line)
-	}
-	if torn && f.rep.Problems[len(f.rep.Problems)-1].Category != ProblemTornJournalTail {
+	switch {
+	case j.Damaged > 0:
+		// Interior damage: everything from here on is untrustworthy,
+		// exactly like resume's drop-the-rest rule.
+		f.problem(name, ProblemTornJournalTail,
+			fmt.Sprintf("record at line %d is damaged; truncating it and the %d line(s) after it", j.Damaged, j.Lines-j.Damaged),
+			ActionRewritten)
+	case j.Unterminated:
 		f.problem(name, ProblemTornJournalTail, "journal ends mid-record (crash during append)", ActionRewritten)
 	}
-	if dups > 0 {
+	if dups := len(j.Duplicates); dups > 0 {
 		f.problem(name, ProblemDuplicateJournalRecord,
 			fmt.Sprintf("%d duplicated verdict record(s); keeping first occurrences", dups), ActionRewritten)
 	}
-	if (torn || dups > 0) && f.opts.Repair {
-		clean := strings.Join(keep, "\n") + "\n"
-		if err := statefs.WriteBytes(siteFsckRewrite, path, []byte(clean)); err != nil {
+	if (j.Damaged > 0 || j.Unterminated || len(j.Duplicates) > 0) && f.opts.Repair {
+		clean := append(bytes.Join(j.Kept, []byte("\n")), '\n')
+		if err := statefs.WriteBytes(siteFsckRewrite, path, clean); err != nil {
 			f.problem(name, ProblemUnreadableJournal, fmt.Sprintf("rewrite failed: %v", err), ActionDetected)
 		}
 	}

@@ -47,8 +47,6 @@ type SchedulerConfig struct {
 	// ProgressInterval is the sampling interval of each job's router,
 	// which feeds the job's events stream (default 250ms).
 	ProgressInterval time.Duration
-	// EventHistory is the per-job event ring size (default 256).
-	EventHistory int
 	// Retry bounds per-crash-state fault recovery inside every explore job
 	// (the zero value is the engine's default policy).
 	Retry core.RetryPolicy
@@ -77,11 +75,11 @@ func (c SchedulerConfig) withDefaults() SchedulerConfig {
 	if c.ProgressInterval <= 0 {
 		c.ProgressInterval = 250 * time.Millisecond
 	}
-	if c.EventHistory < 1 {
-		c.EventHistory = 256
-	}
 	return c
 }
+
+// eventHistory is the per-job event ring size.
+const eventHistory = 256
 
 // jobRun is the live half of a job: its obs run, event stream and cancel
 // handle. Entries are retained after completion so the events endpoint can
@@ -94,7 +92,7 @@ type jobRun struct {
 
 // newJobRun returns the live half of a job about to be queued.
 func (s *Scheduler) newJobRun() *jobRun {
-	return &jobRun{run: obs.NewRun(), sink: obs.NewStreamSink(s.cfg.EventHistory)}
+	return &jobRun{run: obs.NewRun(), sink: obs.NewStreamSink(eventHistory)}
 }
 
 // Scheduler owns the job queue and the worker pool.
