@@ -105,6 +105,7 @@ FUZZTIME ?= 30s
 FUZZSEEDS ?= 64
 fuzz:
 	$(GO) test ./internal/hdf5/ -fuzz FuzzParse -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/hdf5/ -fuzz FuzzDecodeObject -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -fuzz FuzzTraceRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/paracrash/ -fuzz FuzzParseModel -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/paracrash/ -fuzz FuzzStateDigest -fuzztime $(FUZZTIME)
@@ -114,6 +115,7 @@ fuzz:
 # small all-backend metamorphic campaign.
 fuzz-smoke:
 	$(GO) test ./internal/hdf5/ -fuzz FuzzParse -fuzztime 5s
+	$(GO) test ./internal/hdf5/ -fuzz FuzzDecodeObject -fuzztime 5s
 	$(GO) test ./internal/trace/ -fuzz FuzzTraceRoundTrip -fuzztime 5s
 	$(GO) test ./internal/paracrash/ -fuzz FuzzParseModel -fuzztime 5s
 	$(GO) test ./internal/paracrash/ -fuzz FuzzStateDigest -fuzztime 5s

@@ -302,6 +302,35 @@ func TestDependsOnClosure(t *testing.T) {
 	}
 }
 
+// TestDependsOnAllocs checks that the closure allocates a fixed number of
+// times (result, visited set, work queue) whatever its size: the worklist
+// walks persists-before rows in place instead of listing their members.
+func TestDependsOnAllocs(t *testing.T) {
+	const n = 300
+	ops := mkOps("s1", n) // one data-journaled proc: a total persist order
+	g := Build(ops)
+	uni := make([]int, n)
+	full := NewBitset(n)
+	for i := range uni {
+		uni[i] = i
+		full.Set(i)
+	}
+	po := NewPersistOrder(g, uni, PersistConfig{})
+	var sizes, allocs []float64
+	for _, victim := range []int{n - 1, n / 2, 0} {
+		sizes = append(sizes, float64(po.DependsOn(victim, full).Count()))
+		allocs = append(allocs, testing.AllocsPerRun(20, func() { po.DependsOn(victim, full) }))
+	}
+	if sizes[0] != 1 || sizes[2] != n {
+		t.Fatalf("closure sizes %v, want 1 ... %d", sizes, n)
+	}
+	for _, a := range allocs {
+		if a != 3 {
+			t.Fatalf("DependsOn allocations per call %v for closure sizes %v, want 3 each", allocs, sizes)
+		}
+	}
+}
+
 func TestSyncFeasible(t *testing.T) {
 	g, po, uni := persistFixture(vfs.JournalData)
 	front := NewBitset(g.Len())

@@ -13,6 +13,7 @@ package causality
 
 import (
 	"fmt"
+	"math/bits"
 
 	"paracrash/internal/trace"
 	"paracrash/internal/vfs"
@@ -458,22 +459,26 @@ func (po *PersistOrder) DependsOn(victim int, within Bitset) Bitset {
 		return out
 	}
 	out.Set(victim)
-	// Worklist closure over the persists-before relation.
-	work := []int{v}
+	// Worklist closure over the persists-before relation. Each universe
+	// position is queued at most once, so the queue never outgrows the
+	// universe; the rows of pb are walked word by word in place.
 	seen := NewBitset(len(po.universe))
 	seen.Set(v)
-	for len(work) > 0 {
-		a := work[0]
-		work = work[1:]
-		for _, b := range po.pb[a].Members() {
-			nodeB := po.universe[b]
-			if within != nil && !within.Get(nodeB) {
-				continue
-			}
-			if !seen.Get(b) {
-				seen.Set(b)
-				out.Set(nodeB)
-				work = append(work, b)
+	work := make([]int, 1, len(po.universe))
+	work[0] = v
+	for head := 0; head < len(work); head++ {
+		for wi, w := range po.pb[work[head]] {
+			for ; w != 0; w &= w - 1 {
+				b := wi*64 + bits.TrailingZeros64(w)
+				nodeB := po.universe[b]
+				if within != nil && !within.Get(nodeB) {
+					continue
+				}
+				if !seen.Get(b) {
+					seen.Set(b)
+					out.Set(nodeB)
+					work = append(work, b)
+				}
 			}
 		}
 	}

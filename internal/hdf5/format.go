@@ -9,6 +9,12 @@
 // so the parser fails on them exactly the way h5check does on a real
 // corrupted file: bad signatures, name offsets beyond the heap, and
 // addresses beyond the superblock's EOF ("addr overflow").
+//
+// Payloads are written with encoding/json. They are read back by a strict
+// decoder that accepts only the exact bytes json.Marshal emits for each
+// object type and never uses reflection; any other payload (a torn or
+// zeroed extent, say) falls back to encoding/json, which supplies the
+// error text h5check reports.
 package hdf5
 
 import (
@@ -109,7 +115,7 @@ func encodeObject(sig string, v any, size int) []byte {
 }
 
 // decodeObject parses an extent, validating the signature.
-func decodeObject(img []byte, addr int64, sig string, size int, v any) error {
+func decodeObject[T object](img []byte, addr int64, sig string, size int, v *T) error {
 	if addr < 0 || addr+int64(size) > int64(len(img)) {
 		return fmt.Errorf("address %d beyond file end %d (addr overflow)", addr, len(img))
 	}
@@ -121,7 +127,7 @@ func decodeObject(img []byte, addr int64, sig string, size int, v any) error {
 	if int(n)+8 > size {
 		return fmt.Errorf("corrupt %s length at address %d", sigName(sig), addr)
 	}
-	if err := json.Unmarshal(ext[8:8+n], v); err != nil {
+	if err := decodePayload(ext[8:8+n], v); err != nil {
 		return fmt.Errorf("corrupt %s payload at address %d: %v", sigName(sig), addr, err)
 	}
 	return nil
@@ -241,6 +247,10 @@ func Parse(img []byte, strict bool) *LogicalState {
 	var sup superBlock
 	if err := decodeObject(img, 0, SigSuper, SuperSize, &sup); err != nil {
 		st.FileError = err.Error()
+		return st
+	}
+	if sup.EOF < 0 {
+		st.FileError = fmt.Sprintf("superblock EOF %d is negative", sup.EOF)
 		return st
 	}
 	// Parse against an EOF-sized view: addresses beyond the superblock's

@@ -1,6 +1,8 @@
 package hdf5
 
 import (
+	"encoding/binary"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -155,5 +157,39 @@ func TestInspect(t *testing.T) {
 		if kinds[k] == 0 {
 			t.Errorf("object map missing kind %q: %+v", k, kinds)
 		}
+	}
+}
+
+// TestResizeKeepsParentHeaderFields pins a quirk the recorded verdicts
+// depend on: lookup decodes every path component into one reused header,
+// so the dataset header Resize writes back still carries its parent
+// group's B-tree and heap addresses.
+func TestResizeKeepsParentHeaderFields(t *testing.T) {
+	f, _ := newTestFile(t)
+	if err := f.CreateGroup("/g1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.CreateDataset("/g1/d1", 4, 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Resize("/g1/d1", 8, 8); err != nil {
+		t.Fatal(err)
+	}
+	_, group, err := f.lookup("/g1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, _, err := f.lookup("/g1/d1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := binary.LittleEndian.Uint32(f.img[addr+4:])
+	var raw objectHeader
+	if err := json.Unmarshal(f.img[addr+8:addr+8+int64(n)], &raw); err != nil {
+		t.Fatal(err)
+	}
+	if raw.Group || raw.Btree != group.Btree || raw.Heap != group.Heap || raw.Rows != 8 || raw.Cols != 8 {
+		t.Fatalf("resized header %+v, want rows/cols 8x8 and the parent's btree %d and heap %d",
+			raw, group.Btree, group.Heap)
 	}
 }

@@ -31,9 +31,7 @@ func (m *MemBackend) ReadAll() ([]byte, error) {
 // WriteAt implements Backend.
 func (m *MemBackend) WriteAt(off int64, data []byte, _ string) error {
 	if end := off + int64(len(data)); end > int64(len(m.Buf)) {
-		grown := make([]byte, end)
-		copy(grown, m.Buf)
-		m.Buf = grown
+		m.Buf = append(m.Buf, make([]byte, end-int64(len(m.Buf)))...)
 	}
 	copy(m.Buf[off:], data)
 	return nil
